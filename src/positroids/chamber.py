@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fixtures import chamber
-from .linalg import Q, RationalMatrix, as_fraction, pluecker, twist
-from .measurement import face_pluecker, gauge_fix, matrix_from_pluecker
+from .linalg import Q, RationalMatrix, as_fraction, matmul, pluecker, twist
+from .measurement import boundary_partial, face_pluecker, gauge_fix, matrix_from_pluecker
 
 
 def elementary(n: int, i: int, t: Fraction) -> RationalMatrix:
@@ -27,14 +27,6 @@ def diagonal(values) -> RationalMatrix:
     return RationalMatrix.build(
         [[values[r] if r == c else Q(0) for c in range(n)] for r in range(n)]
     )
-
-
-def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    rows = [
-        [sum((a.rows[r][t] * b.rows[t][c] for t in range(a.n)), Q(0)) for c in range(b.n)]
-        for r in range(a.k)
-    ]
-    return RationalMatrix.build(rows)
 
 
 def embed(matrix: RationalMatrix) -> RationalMatrix:
@@ -65,28 +57,14 @@ def factorization_parameters(word, matrix: RationalMatrix):
     point = embed(matrix)
     A = matrix_from_pluecker(pluecker(point))
     face_values = face_pluecker(graph, pluecker(twist(A, "right")), "source")
-    # quotient-level inverse: weight each edge by reciprocals of its faces
-    faces = graph.faces()
-    raw = {}
-    for e, (u, w) in graph.edges.items():
-        adjacent = [f.id for f in faces if e in f.edges]
-        external = graph.is_boundary(u) or graph.is_boundary(w)
-        if external:
-            value = 1 / face_values[graph.directly_downstream(e)]
-        else:
-            value = 1 / (face_values[adjacent[0]] * face_values[adjacent[1]])
-        raw[e] = value
-    verticals = [e for e in graph.edges if e.startswith("v")]
-    right_pendants = {}
-    for e, (u, w) in graph.edges.items():
-        for x in (u, w):
-            if graph.is_boundary(x) and 1 <= x <= wires:
-                right_pendants[x] = e
-    free = set(verticals) | set(right_pendants.values())
+    inverse, _ = boundary_partial(graph, face_values, "min")
+    verticals = [f"v{pos}" for pos in range(len(word))]
+    right_pendants = [graph.pendant_edge(i) for i in range(1, wires + 1)]
+    free = set(verticals) | set(right_pendants)
     targets = {e: Q(1) for e in graph.edges if e not in free}
-    fixed = gauge_fix(graph, raw, targets)
-    t_values = [fixed[f"v{pos}"] for pos in range(len(word))]
-    d_values = [fixed[right_pendants[i]] for i in range(1, wires + 1)]
+    fixed = gauge_fix(graph, inverse, targets)
+    t_values = [fixed[e] for e in verticals]
+    d_values = [fixed[e] for e in right_pendants]
     return graph, t_values, d_values
 
 

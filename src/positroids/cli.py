@@ -2,7 +2,7 @@
 
 Every subcommand prints a deterministic JSON payload on stdout.  Exit codes:
 0 success, 1 malformed input, 2 a mathematical precondition failed (with a
-witness in the error message).
+witness in the error message), 3 an internal invariant broke (a bug).
 """
 from __future__ import annotations
 
@@ -274,7 +274,10 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (GraphError, PreconditionError, AssertionError) as exc:
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except (GraphError, PreconditionError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         sys.exit(2)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -41,33 +41,29 @@ def gale_leq(lhs: Sequence[int], rhs: Sequence[int], a: int, n: int) -> bool:
 
 
 def gale_min(bases: Iterable[Sequence[int]], a: int, n: int) -> tuple[int, ...]:
-    """The unique Gale-minimal subset for the order starting at a.
-
-    Computed by brute force: the componentwise floor of all keys must itself
-    be attained by a member of ``bases``; for matroids this always holds.
-    """
-    items = [tuple(sorted(b)) for b in bases]
-    if not items:
-        raise ValueError("empty basis set")
-    keys = {b: gale_key(b, a, n) for b in items}
-    floor = tuple(min(col) for col in zip(*keys.values()))
-    for b, key in keys.items():
-        if key == floor:
-            return b
-    raise ValueError(f"no Gale minimum at position {a}; not a matroid?")
+    """The unique Gale-minimal subset for the order starting at a."""
+    return _gale_extreme(bases, a, n, min)
 
 
 def gale_max(bases: Iterable[Sequence[int]], a: int, n: int) -> tuple[int, ...]:
     """The unique Gale-maximal subset for the order starting at a."""
+    return _gale_extreme(bases, a, n, max)
+
+
+def _gale_extreme(bases, a: int, n: int, pick) -> tuple[int, ...]:
+    """Computed by brute force: the componentwise ``pick`` (min or max) of all
+    keys must itself be attained by a member of ``bases``; for matroids this
+    always holds."""
     items = [tuple(sorted(b)) for b in bases]
     if not items:
         raise ValueError("empty basis set")
     keys = {b: gale_key(b, a, n) for b in items}
-    ceil = tuple(max(col) for col in zip(*keys.values()))
+    bound = tuple(pick(col) for col in zip(*keys.values()))
     for b, key in keys.items():
-        if key == ceil:
+        if key == bound:
             return b
-    raise ValueError(f"no Gale maximum at position {a}; not a matroid?")
+    extreme = "minimum" if pick is min else "maximum"
+    raise ValueError(f"no Gale {extreme} at position {a}; not a matroid?")
 
 
 @dataclass(frozen=True)

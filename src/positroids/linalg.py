@@ -24,7 +24,7 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise ValueError(f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,34 @@ def signed_minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
     reduced = [(a - 1) % matrix.n + 1 for a in indices]
     if len(set(reduced)) != len(reduced):
         return Q(0)
-    sign = Q(1)
-    perm = sorted(range(len(reduced)), key=lambda i: reduced[i])
+    return permutation_sign(reduced) * minor(matrix, sorted(reduced))
+
+
+def permutation_sign(values: Sequence) -> int:
+    """Sign of the permutation that sorts distinct values."""
+    perm = sorted(range(len(values)), key=lambda i: values[i])
+    sign = 1
     for i in range(len(perm)):
         while perm[i] != i:
             j = perm[i]
             perm[i], perm[j] = perm[j], perm[i]
             sign = -sign
-    return sign * minor(matrix, sorted(reduced))
+    return sign
+
+
+def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The exact product of a k x m and an m x n matrix.  Zero entries are
+    skipped, so products of sparse incidence matrices stay cheap."""
+    rows = []
+    for row in a.rows:
+        out = [Q(0)] * b.n
+        for x, b_row in zip(row, b.rows):
+            if x:
+                for c, y in enumerate(b_row):
+                    if y:
+                        out[c] += x * y
+        rows.append(out)
+    return RationalMatrix.build(rows)
 
 
 def rank(matrix: RationalMatrix) -> int:

@@ -12,6 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .core import Positroid, necklace_from_bases, positroid_from_necklace
 from .errors import PreconditionError
+from .linalg import RationalMatrix, matmul
 from .plabic import PlabicGraph
 
 
@@ -34,14 +35,15 @@ def enumerate_matchings(
 
     Backtracking over internal vertices with unit propagation; the result is
     sorted lexicographically by sorted edge-id lists, so the order is part of
-    the contract.  The unfiltered list is cached on the graph.
+    the contract.  The unfiltered list is memoized on the graph; a boundary
+    is searched for directly, which costs less than filtering that list.
     """
-    cached = graph._cache.get("matchings")
-    if cached is not None:
-        if boundary is None:
-            return cached
-        want = tuple(sorted(boundary))
-        return [m for m in cached if matching_boundary(graph, m) == want]
+    if boundary is None:
+        return graph._memo("matchings", lambda: _search(graph, None))
+    return _search(graph, boundary)
+
+
+def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[frozenset]:
     vertices = sorted(graph.colors)
     incident = {v: sorted(graph.incident(v)) for v in vertices}
     state: dict[str, Optional[bool]] = {e: None for e in graph.edges}
@@ -109,12 +111,13 @@ def enumerate_matchings(
             undo(start)
 
         rec()
+        # rec refers to itself through its closure; break that cycle so the
+        # matchings it holds are freed by reference counting, not by a later
+        # full garbage collection
+        del rec
 
     solve(state)
-    ordered = sorted(results, key=lambda m: tuple(sorted(m)))
-    if boundary is None:
-        graph._cache["matchings"] = ordered
-    return ordered
+    return sorted(results, key=lambda m: tuple(sorted(m)))
 
 
 def graph_positroid(graph: PlabicGraph) -> Positroid:
@@ -155,21 +158,23 @@ class IncidenceData:
             [-self.u_ef[j][i] for i in range(F)] + [-self.u_ev[j][i] for i in range(V)]
             for j in range(E)
         ]
-
-        def matmul(A, B):
-            return [
-                [sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0]))]
-                for i in range(len(A))
-            ]
+        left, right = RationalMatrix.build(left), RationalMatrix.build(right)
 
         def is_identity(M):
             return all(
-                M[i][j] == (1 if i == j else 0)
-                for i in range(len(M))
-                for j in range(len(M[0]))
+                x == (1 if i == j else 0) for i, row in enumerate(M.rows) for j, x in enumerate(row)
             )
 
         return is_identity(matmul(right, left)) and is_identity(matmul(left, right))
+
+    def face_exponents(self, matching: Iterable[str]) -> dict:
+        """Exponent of each face in the minimal-matching monomial expansion."""
+        matched = set(matching)
+        columns = [j for j, e in enumerate(self.edge_order) if e in matched]
+        return {
+            fid: sum(self.d_fe[i][j] for j in columns) - (self.b[fid] - 1)
+            for i, fid in enumerate(self.face_order)
+        }
 
 
 def incidence_data(graph: PlabicGraph) -> IncidenceData:
@@ -185,7 +190,6 @@ def incidence_data(graph: PlabicGraph) -> IncidenceData:
     u_ev = tuple(
         tuple(1 if v in down[e][1] else 0 for v in vertex_order) for e in edge_order
     )
-    faces = {f.id: f for f in graph.faces()}
     d_fe = []
     for fid in face_order:
         row = []
@@ -195,7 +199,7 @@ def incidence_data(graph: PlabicGraph) -> IncidenceData:
             if external:
                 row.append(1 if dd[e] == fid else 0)
             else:
-                row.append(1 if e in faces[fid].edges else 0)
+                row.append(1 if fid in graph.edge_faces(e) else 0)
         d_fe.append(tuple(row))
     d_ve = tuple(
         tuple(1 if v in graph.edges[e] else 0 for e in edge_order) for v in vertex_order
@@ -227,17 +231,7 @@ def extremal_matching(graph: PlabicGraph, face_id: str, direction: str) -> froze
 
 def face_exponents(graph: PlabicGraph, matching: Iterable[str]) -> dict:
     """Exponent of each face in the minimal-matching monomial expansion."""
-    data = incidence_data(graph)
-    matched = set(matching)
-    out = {}
-    for i, fid in enumerate(data.face_order):
-        hits = sum(
-            1
-            for j, e in enumerate(data.edge_order)
-            if e in matched and data.d_fe[i][j] == 1
-        )
-        out[fid] = hits - (data.b[fid] - 1)
-    return out
+    return incidence_data(graph).face_exponents(matching)
 
 
 def _swivelable(graph: PlabicGraph, matching: frozenset, face) -> Optional[frozenset]:
@@ -286,12 +280,12 @@ class MatchingPoset:
     def index(self, matching: frozenset) -> int:
         return self.nodes.index(matching)
 
-    def _above(self) -> list[set]:
+    def __post_init__(self):
         up = [set() for _ in self.nodes]
         for lo, hi, _ in self.covers:
             up[lo].add(hi)
         # transitive closure by BFS
-        out = []
+        self._closure = []
         for i in range(len(self.nodes)):
             seen = {i}
             stack = [i]
@@ -301,8 +295,11 @@ class MatchingPoset:
                     if y not in seen:
                         seen.add(y)
                         stack.append(y)
-            out.append(seen)
-        return out
+            self._closure.append(seen)
+
+    def _above(self) -> list[set]:
+        """For each node, the set of nodes above or equal to it."""
+        return self._closure
 
     def leq(self, i: int, j: int) -> bool:
         return j in self._above()[i]

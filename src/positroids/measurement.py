@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .core import gale_min
 from .errors import PreconditionError
-from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, pluecker, twist
+from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, permutation_sign, pluecker, twist
 from .matchings import (
     enumerate_matchings,
     extremal_matching,
@@ -89,15 +89,7 @@ def matrix_from_pluecker(p: PlueckerVector) -> RationalMatrix:
             if len(set(members)) < len(members):
                 row.append(Q(1) if c == i_r else Q(0))
                 continue
-            sign = Q(1)
-            ordered = sorted(members)
-            perm = sorted(range(len(members)), key=lambda t: members[t])
-            for t in range(len(perm)):
-                while perm[t] != t:
-                    s = perm[t]
-                    perm[t], perm[s] = perm[s], perm[t]
-                    sign = -sign
-            row.append(sign * p[tuple(ordered)] / scale)
+            row.append(permutation_sign(members) * p[members] / scale)
         rows.append(row)
     rows[0] = [x * scale for x in rows[0]]
     matrix = RationalMatrix.build(rows)
@@ -143,14 +135,13 @@ def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
         dd = {e: graph.directly_upstream(e) for e in graph.edges}
     else:
         raise ValueError(f"bad direction {direction!r}")
-    faces = {f.id: f for f in graph.faces()}
     weights = {}
     for e, (u, w) in graph.edges.items():
         external = graph.is_boundary(u) or graph.is_boundary(w)
         if external:
             value = 1 / x[dd[e]]
         else:
-            adjacent = [f.id for f in graph.faces() if e in f.edges]
+            adjacent = graph.edge_faces(e)
             if len(adjacent) == 1:  # lollipop edge: face on both sides
                 adjacent = adjacent * 2
             value = 1 / (x[adjacent[0]] * x[adjacent[1]])
@@ -159,8 +150,8 @@ def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
     for e in graph.edges:
         b[dd[e]] = b.get(dd[e], 0) + 1
     gauge_value = Q(1)
-    for fid in faces:
-        gauge_value *= x[fid] ** (b.get(fid, 0) - 1)
+    for f in graph.faces():
+        gauge_value *= x[f.id] ** (b.get(f.id, 0) - 1)
     vertex = min(graph.colors)
     weights = gauge_apply(graph, weights, {vertex: gauge_value})
     return weights, {"vertex": vertex, "factor": gauge_value}
@@ -229,9 +220,7 @@ def monodromy_from_neighbors(graph: PlabicGraph, weights: dict, face_id: str) ->
     cycle = face_edge_cycle(graph, face_id)
     out = Q(1)
     for i, e in enumerate(cycle, start=1):
-        neighbor = next(
-            f.id for f in graph.faces() if e in f.edges and f.id != face_id
-        )
+        neighbor = next(fid for fid in graph.edge_faces(e) if fid != face_id)
         value = monomial(weights, extremal_matching(graph, neighbor, "min"))
         out *= value if i % 2 == 0 else 1 / value
     return out
@@ -257,14 +246,7 @@ def twisted_pluecker_laurent(graph: PlabicGraph, subset: Sequence[int]) -> list[
     data = incidence_data(graph)
     terms = []
     for m in enumerate_matchings(graph, J):
-        exponents = {}
-        for i, fid in enumerate(data.face_order):
-            hits = sum(
-                1
-                for j, e in enumerate(data.edge_order)
-                if e in m and data.d_fe[i][j] == 1
-            )
-            exponents[fid] = (data.b[fid] - 1) - hits
+        exponents = {fid: -x for fid, x in data.face_exponents(m).items()}
         terms.append(LaurentTerm(m, exponents))
     return terms
 

@@ -14,6 +14,7 @@ toward a boundary vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BoundedAffinePermutation
 
@@ -38,6 +39,13 @@ class Face:
         return "boundary" if self.arcs else "internal"
 
 
+class _FaceIndex(NamedTuple):
+    faces: list  # in tracing order: by each walk's least dart
+    by_id: dict  # face id -> Face
+    by_arc: dict  # boundary arc (i, i+1) -> the face walking along it
+    by_edge: dict  # edge id -> distinct ids of the faces beside it, in face order
+
+
 @dataclass(frozen=True)
 class Strand:
     source: int
@@ -46,7 +54,14 @@ class Strand:
 
 
 class PlabicGraph:
-    """Validated plabic graph; derived data is computed lazily and cached."""
+    """Validated plabic graph.
+
+    The incidence index (edges at each vertex, the pendant edge at each
+    boundary vertex, the rotation successors) is built once, before
+    validation.  Validation traces the faces once, together with their maps
+    by id, by boundary arc and by edge; strands, labels and wedges are
+    computed on first use.  All of it is memoized on the graph.
+    """
 
     def __init__(self, n, colors, edges, rotations):
         self.n = n
@@ -54,14 +69,35 @@ class PlabicGraph:
         self.edges = {e: (u, w) for e, (u, w) in edges.items()}
         self.rotations = {v: tuple(r) for v, r in rotations.items()}
         self._cache = {}
+        incident = {}
+        for e, (u, w) in self.edges.items():
+            for x in (u,) if u == w else (u, w):
+                incident.setdefault(x, []).append(e)
+        self._incident = {x: tuple(es) for x, es in incident.items()}
+        self._pendant = {
+            i: self._incident[i][0] for i in self.boundary_vertices() if i in self._incident
+        }
+        # (vertex, edge) -> (next edge clockwise, next edge counterclockwise)
+        self._turns = {}
+        for v, rot in self.rotations.items():
+            for idx, e in enumerate(rot):
+                self._turns.setdefault((v, e), (rot[(idx + 1) % len(rot)], rot[idx - 1]))
         violations = self._validate()
         if violations:
             raise GraphError(violations)
+
+    def _memo(self, key, compute):
+        """compute(), run once per graph and key."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- construction and serialization --------------------------------
 
     @classmethod
     def from_json(cls, payload: dict) -> "PlabicGraph":
+        if not isinstance(payload["n"], int):
+            raise ValueError(f"graph size n must be an integer, got {payload['n']!r}")
         colors = {v["id"]: v["color"] for v in payload["internal"]}
         edges = {}
         for e in payload["edges"]:
@@ -91,7 +127,7 @@ class PlabicGraph:
         return range(1, self.n + 1)
 
     def incident(self, v) -> list:
-        return [e for e, (u, w) in self.edges.items() if u == v or w == v]
+        return list(self._incident.get(v, ()))
 
     def other_end(self, e, v):
         u, w = self.edges[e]
@@ -102,22 +138,16 @@ class PlabicGraph:
         raise ValueError(f"{v!r} is not an endpoint of edge {e!r}")
 
     def pendant_edge(self, i: int) -> str:
-        for e, (u, w) in self.edges.items():
-            if u == i or w == i:
-                return e
-        raise ValueError(f"boundary vertex {i} has no edge")
+        if i not in self._pendant:
+            raise ValueError(f"boundary vertex {i} has no edge")
+        return self._pendant[i]
 
     @property
     def k(self) -> int:
         white = sum(1 for c in self.colors.values() if c == "white")
         black = sum(1 for c in self.colors.values() if c == "black")
-        black_boundary = len(
-            {
-                self.other_end(self.pendant_edge(i), i)
-                for i in self.boundary_vertices()
-                if self.colors.get(self.other_end(self.pendant_edge(i), i)) == "black"
-            }
-        )
+        ends = {self.other_end(e, i) for i, e in self._pendant.items()}
+        black_boundary = sum(1 for v in ends if self.colors.get(v) == "black")
         return white - black + black_boundary
 
     def _validate(self) -> list[str]:
@@ -180,7 +210,7 @@ class PlabicGraph:
             return out
         # the rotation system must give a disc embedding: Euler check
         try:
-            faces = self._trace_faces()
+            faces = self.faces()
         except Exception as exc:  # malformed rotation closes walks badly
             return [f"rotation system does not close up: {exc}"]
         if len(faces) + len(self.colors) != len(self.edges) + 1:
@@ -199,19 +229,23 @@ class PlabicGraph:
             j = (v - 2) % self.n + 1  # predecessor boundary vertex
             pe = self.pendant_edge(j)
             return (pe, j, self.other_end(pe, j))
-        rot = self.rotations[v]
-        nxt = rot[(rot.index(e) + 1) % len(rot)]
+        nxt = self._turns[(v, e)][0]
         return (nxt, v, self.other_end(nxt, v))
 
-    def _trace_faces(self):
-        darts = []
-        for e, (u, w) in self.edges.items():
-            darts.append((e, u, w))
-            darts.append((e, w, u))
+    def _trace_faces(self) -> _FaceIndex:
+        """Walk every face once, each from its least dart by (str(edge),
+        str(from)); the walks come out in that order, which fixes the
+        numbering of the internal faces."""
+        darts = sorted(
+            (d for e, (u, w) in self.edges.items() for d in ((e, u, w), (e, w, u))),
+            key=lambda d: (str(d[0]), str(d[1])),
+        )
         unused = set(darts)
-        walks = []
-        while unused:
-            start = min(unused, key=lambda d: (str(d[0]), str(d[1])))
+        faces = []
+        internal_index = 0
+        for start in darts:
+            if start not in unused:
+                continue
             walk = []
             d = start
             while True:
@@ -222,95 +256,92 @@ class PlabicGraph:
                 d = self._next_dart(d)
                 if d == start:
                     break
-            walks.append(walk)
-        return walks
+            arcs = tuple(
+                ((d[2] - 2) % self.n + 1, d[2]) for d in walk if self.is_boundary(d[2])
+            )
+            # boundary faces named by their arc, internal faces numbered
+            if arcs:
+                fid = "b" + "-".join(str(a) for a, _ in sorted(arcs))
+            else:
+                internal_index += 1
+                fid = f"f{internal_index}"
+            faces.append(Face(fid, tuple(walk), arcs, tuple(d[0] for d in walk)))
+        by_arc, by_edge = {}, {}
+        for f in faces:
+            for arc in f.arcs:
+                by_arc.setdefault(arc, f)
+            for e in f.edges:
+                beside = by_edge.setdefault(e, [])
+                if f.id not in beside:
+                    beside.append(f.id)
+        return _FaceIndex(
+            faces,
+            {f.id: f for f in faces},
+            by_arc,
+            {e: tuple(fids) for e, fids in by_edge.items()},
+        )
+
+    def _faces(self) -> _FaceIndex:
+        return self._memo("faces", self._trace_faces)
 
     def faces(self) -> list[Face]:
-        if "faces" not in self._cache:
-            walks = self._trace_faces()
-            faces = []
-            order = []
-            for walk in walks:
-                arcs = tuple(
-                    ((d[2] - 2) % self.n + 1, d[2])
-                    for d in walk
-                    if self.is_boundary(d[2])
-                )
-                order.append((walk, arcs))
-            # boundary faces named by their arc, internal faces numbered
-            internal_index = 0
-            order.sort(key=lambda pair: min((str(d[0]), str(d[1])) for d in pair[0]))
-            for walk, arcs in order:
-                if arcs:
-                    fid = "b" + "-".join(str(a) for a, _ in sorted(arcs))
-                else:
-                    internal_index += 1
-                    fid = f"f{internal_index}"
-                faces.append(
-                    Face(fid, tuple(walk), arcs, tuple(d[0] for d in walk))
-                )
-            self._cache["faces"] = faces
-        return self._cache["faces"]
+        return self._faces().faces
 
     def face_by_id(self, fid: str) -> Face:
-        for f in self.faces():
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
+        return self._faces().by_id[fid]
+
+    def edge_faces(self, edge_id: str) -> tuple:
+        """Ids of the distinct faces beside the edge, in ``faces()`` order."""
+        return self._faces().by_edge[edge_id]
 
     def boundary_face(self, i: int) -> Face:
         """The face whose walk runs along the boundary arc from i to i+1."""
-        j = i % self.n + 1
-        for f in self.faces():
-            if (i, j) in f.arcs:
-                return f
-        raise AssertionError("every arc lies on some face")
+        face = self._faces().by_arc.get((i, i % self.n + 1))
+        if face is None:
+            raise AssertionError("every arc lies on some face")
+        return face
 
     def face_of_corner(self, v, e_in, e_out) -> Face:
         """Face whose walk turns from edge e_in to edge e_out at internal v."""
-        corners = self._corner_map()
-        return corners[(v, e_in, e_out)]
+        return self._memo("corners", self._trace_corners)[(v, e_in, e_out)]
 
-    def _corner_map(self):
-        if "corners" not in self._cache:
-            corners = {}
-            for f in self.faces():
-                walk = f.walk
-                for idx, dart in enumerate(walk):
-                    e, _, v = dart
-                    if self.is_boundary(v):
-                        continue
-                    nxt = walk[(idx + 1) % len(walk)]
-                    corners[(v, e, nxt[0])] = f
-            self._cache["corners"] = corners
-        return self._cache["corners"]
+    def _trace_corners(self):
+        corners = {}
+        for f in self.faces():
+            walk = f.walk
+            for idx, dart in enumerate(walk):
+                e, _, v = dart
+                if self.is_boundary(v):
+                    continue
+                nxt = walk[(idx + 1) % len(walk)]
+                corners[(v, e, nxt[0])] = f
+        return corners
 
     # -- strands ----------------------------------------------------------
 
     def _next_crossing(self, crossing):
         e, v = crossing
-        rot = self.rotations[v]
-        idx = rot.index(e)
-        step = 1 if self.colors[v] == "white" else -1
-        nxt = rot[(idx + step) % len(rot)]
+        cw, ccw = self._turns[(v, e)]
+        nxt = cw if self.colors[v] == "white" else ccw
         return (nxt, self.other_end(nxt, v))
 
     def strands(self) -> list[Strand]:
-        if "strands" not in self._cache:
-            strands = []
-            for i in self.boundary_vertices():
-                pe = self.pendant_edge(i)
-                crossing = (pe, self.other_end(pe, i))
-                path = []
-                while True:
-                    path.append(crossing)
-                    e, v = crossing
-                    if self.is_boundary(v):
-                        break
-                    crossing = self._next_crossing(crossing)
-                strands.append(Strand(i, path[-1][1], tuple(path)))
-            self._cache["strands"] = strands
-        return self._cache["strands"]
+        return self._memo("strands", self._trace_strands)
+
+    def _trace_strands(self) -> list[Strand]:
+        strands = []
+        for i in self.boundary_vertices():
+            pe = self.pendant_edge(i)
+            crossing = (pe, self.other_end(pe, i))
+            path = []
+            while True:
+                path.append(crossing)
+                e, v = crossing
+                if self.is_boundary(v):
+                    break
+                crossing = self._next_crossing(crossing)
+            strands.append(Strand(i, path[-1][1], tuple(path)))
+        return strands
 
     def strand_from(self, i: int) -> Strand:
         return self.strands()[i - 1]
@@ -330,6 +361,9 @@ class PlabicGraph:
 
     def is_reduced(self):
         """(flag, witness): closed loops, self-crossings, same-order pairs."""
+        return self._memo("reduced", self._check_reduced)
+
+    def _check_reduced(self):
         covered = set()
         for s in self.strands():
             for c in s.path:
@@ -401,14 +435,10 @@ class PlabicGraph:
                         [f"strand {strand.source} endpoint seeds disagree at face {fid}"]
                     )
         # propagate across edges the strand does not cross
-        adjacency = {}
-        for f in self.faces():
-            for e in f.edges:
-                adjacency.setdefault(e, set()).add(f.id)
         changed = True
         while changed:
             changed = False
-            for e, fids in adjacency.items():
+            for e, fids in self._faces().by_edge.items():
                 if e in crossed or len(fids) != 2:
                     continue
                 fa, fb = sorted(fids)
@@ -427,28 +457,27 @@ class PlabicGraph:
         """Map face id -> sorted tuple of strand sources (or targets)."""
         if mode not in ("source", "target"):
             raise ValueError(f"bad mode {mode!r}")
-        key = f"labels-{mode}"
-        if key not in self._cache:
-            self.require_reduced()
-            labels = {f.id: [] for f in self.faces()}
-            for s in self.strands():
-                mark = s.source if mode == "source" else (s.target - 1) % self.n + 1
-                for fid in self._left_faces(s):
-                    labels[fid].append(mark)
-            self._cache[key] = {fid: tuple(sorted(v)) for fid, v in labels.items()}
-        return self._cache[key]
+        return self._memo(f"labels-{mode}", lambda: self._label_faces(mode))
+
+    def _label_faces(self, mode: str) -> dict:
+        self.require_reduced()
+        labels = {f.id: [] for f in self.faces()}
+        for s in self.strands():
+            mark = s.source if mode == "source" else (s.target - 1) % self.n + 1
+            for fid in self._left_faces(s):
+                labels[fid].append(mark)
+        return {fid: tuple(sorted(v)) for fid, v in labels.items()}
 
     # -- wedges -----------------------------------------------------------
 
     def _passage_strand(self):
         """Map each crossing (edge, toward_vertex) to (strand index, position)."""
-        if "passages" not in self._cache:
-            passages = {}
-            for si, s in enumerate(self.strands()):
-                for pos, c in enumerate(s.path):
-                    passages[c] = (si, pos)
-            self._cache["passages"] = passages
-        return self._cache["passages"]
+        return self._memo(
+            "passages",
+            lambda: {
+                c: (si, pos) for si, s in enumerate(self.strands()) for pos, c in enumerate(s.path)
+            },
+        )
 
     def _atom_graph(self):
         """Region adjacency of the strand-diagram complement.
@@ -456,10 +485,11 @@ class PlabicGraph:
         Atoms: one per face core, one per internal vertex, one per boundary
         vertex.  Every strand piece (a corner cut, or a terminal/initial stub
         along a pendant edge) separates exactly two atoms; the piece is the
-        adjacency key.
+        adjacency key.  Maps each atom to its (neighbor atom, piece) pairs.
         """
-        if "atoms" in self._cache:
-            return self._cache["atoms"]
+        return self._memo("atoms", self._cut_atoms)
+
+    def _cut_atoms(self):
         pieces = {}  # piece key -> (atom, atom)
         passages = self._passage_strand()
         strands = self.strands()
@@ -490,8 +520,11 @@ class PlabicGraph:
             else:
                 facing = self.boundary_face((i - 2) % self.n + 1)
             pieces[("stub-start", i)] = (("b", i), ("f", facing.id))
-        self._cache["atoms"] = pieces
-        return pieces
+        neighbors = {}
+        for key, (x, y) in pieces.items():
+            neighbors.setdefault(x, []).append((y, key))
+            neighbors.setdefault(y, []).append((x, key))
+        return neighbors
 
     def _wedge(self, edge_id: str, upstream: bool):
         """Atoms cut off by the two half-strands leaving (or entering) an edge.
@@ -519,56 +552,38 @@ class PlabicGraph:
                 blocked.add(("stub-start", strands[si].source))
                 for c in segment[:-1]:
                     blocked.add(("corner", c))
-        pieces = self._atom_graph()
-        neighbors = {}
-        for key, (x, y) in pieces.items():
-            if key in blocked:
-                continue
-            neighbors.setdefault(x, set()).add(y)
-            neighbors.setdefault(y, set()).add(x)
+        neighbors = self._atom_graph()
         interior = [x for x in (u, w) if not self.is_boundary(x)]
         seeds = {("v", v) for v in interior}
         seen = set(seeds)
         stack = list(seeds)
         while stack:
             x = stack.pop()
-            for y in neighbors.get(x, ()):
-                if y not in seen:
+            for y, piece in neighbors.get(x, ()):
+                if piece not in blocked and y not in seen:
                     seen.add(y)
                     stack.append(y)
-        all_atoms = {("f", f.id) for f in self.faces()}
-        all_atoms |= {("v", v) for v in self.colors}
-        all_atoms |= {("b", i) for i in self.boundary_vertices()}
-        wedge = all_atoms - seen
-        faces = {x[1] for x in wedge if x[0] == "f"}
-        vertices = {x[1] for x in wedge if x[0] == "v"}
+        faces = {f.id for f in self.faces() if ("f", f.id) not in seen}
+        vertices = {v for v in self.colors if ("v", v) not in seen}
         return faces, vertices
 
     def downstream(self, edge_id: str):
-        key = ("down", edge_id)
-        if key not in self._cache:
-            self._cache[key] = self._wedge(edge_id, upstream=False)
-        return self._cache[key]
+        return self._memo(("down", edge_id), lambda: self._wedge(edge_id, upstream=False))
 
     def upstream(self, edge_id: str):
-        key = ("up", edge_id)
-        if key not in self._cache:
-            self._cache[key] = self._wedge(edge_id, upstream=True)
-        return self._cache[key]
+        return self._memo(("up", edge_id), lambda: self._wedge(edge_id, upstream=True))
 
     def directly_downstream(self, edge_id: str) -> str:
         """The unique adjacent face inside the downstream wedge of the edge."""
-        faces, _ = self.downstream(edge_id)
-        adjacent = [f.id for f in self.faces() if edge_id in f.edges]
-        hits = [fid for fid in set(adjacent) if fid in faces]
-        if len(hits) != 1:
-            raise AssertionError(f"edge {edge_id!r} has {len(hits)} directly downstream faces")
-        return hits[0]
+        return self._directly(edge_id, upstream=False)
 
     def directly_upstream(self, edge_id: str) -> str:
-        faces, _ = self.upstream(edge_id)
-        adjacent = [f.id for f in self.faces() if edge_id in f.edges]
-        hits = [fid for fid in set(adjacent) if fid in faces]
+        return self._directly(edge_id, upstream=True)
+
+    def _directly(self, edge_id: str, upstream: bool) -> str:
+        faces, _ = self.upstream(edge_id) if upstream else self.downstream(edge_id)
+        hits = [fid for fid in self.edge_faces(edge_id) if fid in faces]
         if len(hits) != 1:
-            raise AssertionError(f"edge {edge_id!r} has {len(hits)} directly upstream faces")
+            side = "upstream" if upstream else "downstream"
+            raise AssertionError(f"edge {edge_id!r} has {len(hits)} directly {side} faces")
         return hits[0]

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from positroids import fixtures
 from positroids.chamber import (
     diagonal,
     elementary,
@@ -11,8 +12,8 @@ from positroids.chamber import (
     factorization_parameters,
     matmul,
 )
-from positroids.linalg import RationalMatrix, pluecker
-from positroids.measurement import measure
+from positroids.linalg import RationalMatrix, pluecker, twist
+from positroids.measurement import face_pluecker, gauge_fix, matrix_from_pluecker, measure
 
 
 def random_upper(rng):
@@ -69,3 +70,35 @@ def test_elementary_product_identity():
 def test_wrong_shape_rejected():
     with pytest.raises(ValueError):
         factorization_parameters([2, 1, 2], RationalMatrix.build([[1, 0], [0, 1]]))
+
+
+def raw_inverse_parameters(word, matrix):
+    """t and d from the raw quotient-level inverse (each edge weighted by the
+    reciprocals of the faces beside it), gauge-fixed to the same targets."""
+    graph = fixtures.chamber(word)
+    A = matrix_from_pluecker(pluecker(embed(matrix)))
+    x = face_pluecker(graph, pluecker(twist(A, "right")), "source")
+    raw = {}
+    for e, (u, w) in graph.edges.items():
+        adjacent = [f.id for f in graph.faces() if e in f.edges]
+        if graph.is_boundary(u) or graph.is_boundary(w):
+            raw[e] = 1 / x[graph.directly_downstream(e)]
+        else:
+            raw[e] = 1 / (x[adjacent[0]] * x[adjacent[1]])
+    verticals = [e for e in graph.edges if e.startswith("v")]
+    pendants = [graph.pendant_edge(i) for i in range(1, max(word) + 2)]
+    targets = {e: Q(1) for e in graph.edges if e not in verticals + pendants}
+    fixed = gauge_fix(graph, raw, targets)
+    return [fixed[f"v{pos}"] for pos in range(len(word))], [fixed[e] for e in pendants]
+
+
+@pytest.mark.parametrize("word", [(2, 1, 2), (1, 2, 1)])
+def test_factorization_matches_raw_inverse(word):
+    rng = random.Random(44)
+    for _ in range(4):
+        m = RationalMatrix.build(
+            [[Q(rng.randint(1, 9), rng.randint(1, 5)) if c >= r else 0 for c in range(3)]
+             for r in range(3)]
+        )
+        _, ts, ds = factorization_parameters(word, m)
+        assert (ts, ds) == raw_inverse_parameters(word, m)

@@ -3,11 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(*args, expect=0):
+    return run_cli_result(*args, expect=expect).stdout
+
+
+def run_cli_result(*args, expect):
     env_path = str(ROOT / "src")
     result = subprocess.run(
         [sys.executable, "-m", "positroids.cli", *args],
@@ -17,7 +23,7 @@ def run_cli(*args, expect=0):
         env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
     )
     assert result.returncode == expect, result.stderr
-    return result.stdout
+    return result
 
 
 def test_inspect_square4():
@@ -120,10 +126,40 @@ def test_laurent():
     assert len(out["terms"]) == 17
 
 
-def test_malformed_input_exit_code(tmp_path):
+def square4_with_string_n():
+    payload = json.loads((FIXTURES / "square4.json").read_text())
+    payload["n"] = "4"
+    return json.dumps(payload)
+
+
+MALFORMED = {
+    "not-json": (("inspect",), "not json"),
+    "float-in-matrix": (("twist", "--right"), json.dumps({"rows": [[1.5, 2], [0, 1]]})),
+    "string-n": (("inspect",), square4_with_string_n()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_code(tmp_path, case):
+    (command, *flags), text = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    run_cli("inspect", str(bad), expect=1)
+    bad.write_text(text)
+    result = run_cli_result(command, str(bad), *flags, expect=1)
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    from positroids import cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broke")
+
+    monkeypatch.setattr(cli, "verify_diagram", broken)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "square4"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == "internal error: invariant broke\n"
 
 
 def test_precondition_exit_code(tmp_path):

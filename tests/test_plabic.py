@@ -1,6 +1,10 @@
+from itertools import permutations, product
+
 import pytest
 
-from positroids.core import necklace_from_perm
+from positroids import fixtures
+from positroids.core import BoundedAffinePermutation, necklace_from_perm
+from positroids.moves import synthesize
 from positroids.plabic import GraphError, PlabicGraph
 
 
@@ -234,3 +238,105 @@ def test_wedge_boundary_edge_rule(square4, schubert36):
             left = g._left_faces(g.strand_from(i))
             want = left if g.colors[neighbor] == "white" else all_faces - left
             assert g.downstream(pe)[0] == want
+
+
+# -- the graph index against the linear scans it replaced ------------------
+
+
+def scan_incident(g, v):
+    return [e for e, (u, w) in g.edges.items() if u == v or w == v]
+
+
+def scan_pendant_edge(g, i):
+    return next(e for e, (u, w) in g.edges.items() if u == i or w == i)
+
+
+def scan_face_by_id(g, fid):
+    return next(f for f in g.faces() if f.id == fid)
+
+
+def scan_boundary_face(g, i):
+    return next(f for f in g.faces() if (i, i % g.n + 1) in f.arcs)
+
+
+def scan_edge_faces(g, e):
+    return [f.id for f in g.faces() if e in f.edges]
+
+
+def scan_directly(g, e, wedge):
+    faces, _ = wedge(e)
+    hits = [fid for fid in set(scan_edge_faces(g, e)) if fid in faces]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def scan_k(g):
+    white = sum(1 for c in g.colors.values() if c == "white")
+    black = sum(1 for c in g.colors.values() if c == "black")
+    ends = {g.other_end(scan_pendant_edge(g, i), i) for i in g.boundary_vertices()}
+    return white - black + sum(1 for v in ends if g.colors[v] == "black")
+
+
+def scan_face_walks(g):
+    """Face walks from min(unused darts), successors by rotation.index."""
+
+    def next_dart(dart):
+        e, _, v = dart
+        if g.is_boundary(v):
+            j = (v - 2) % g.n + 1
+            pe = scan_pendant_edge(g, j)
+            return (pe, j, g.other_end(pe, j))
+        rot = g.rotations[v]
+        nxt = rot[(rot.index(e) + 1) % len(rot)]
+        return (nxt, v, g.other_end(nxt, v))
+
+    unused = {d for e, (u, w) in g.edges.items() for d in ((e, u, w), (e, w, u))}
+    walks = []
+    while unused:
+        start = min(unused, key=lambda d: (str(d[0]), str(d[1])))
+        walk, d = [], start
+        while True:
+            unused.discard(d)
+            walk.append(d)
+            d = next_dart(d)
+            if d == start:
+                break
+        walks.append(tuple(walk))
+    return walks
+
+
+def bounded_affine_permutations(n):
+    for perm in permutations(range(1, n + 1)):
+        lifts = [(a, a + n) if r == a else (r if r > a else r + n,) for a, r in enumerate(perm, 1)]
+        for values in product(*lifts):
+            yield BoundedAffinePermutation(values)
+
+
+def assert_index_matches_scans(g):
+    assert [f.walk for f in g.faces()] == scan_face_walks(g)
+    assert g.k == scan_k(g)
+    for v in list(g.colors) + list(g.boundary_vertices()):
+        assert g.incident(v) == scan_incident(g, v)
+    for i in g.boundary_vertices():
+        assert g.pendant_edge(i) == scan_pendant_edge(g, i)
+        assert g.boundary_face(i) == scan_boundary_face(g, i)
+    for f in g.faces():
+        assert g.face_by_id(f.id) == scan_face_by_id(g, f.id)
+    for e in g.edges:
+        assert list(g.edge_faces(e)) == scan_edge_faces(g, e)
+        assert g.directly_downstream(e) == scan_directly(g, e, g.downstream)
+        assert g.directly_upstream(e) == scan_directly(g, e, g.upstream)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
+def test_index_matches_scans_on_fixtures(name):
+    assert_index_matches_scans(fixtures.load(name))
+
+
+def test_index_matches_scans_on_synthesized_graphs():
+    count = 0
+    for n in range(1, 5):
+        for pi in bounded_affine_permutations(n):
+            assert_index_matches_scans(synthesize(pi))
+            count += 1
+    assert count == 2 + 5 + 16 + 65
