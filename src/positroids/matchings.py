@@ -178,7 +178,12 @@ class IncidenceData:
 
 
 def incidence_data(graph: PlabicGraph) -> IncidenceData:
+    """Built once per graph and memoized on it."""
     graph.require_reduced()
+    return graph._memo("incidence", lambda: _build_incidence_data(graph))
+
+
+def _build_incidence_data(graph: PlabicGraph) -> IncidenceData:
     edge_order = tuple(sorted(graph.edges))
     face_order = tuple(f.id for f in graph.faces())
     vertex_order = tuple(sorted(graph.colors))

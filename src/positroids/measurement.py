@@ -45,8 +45,18 @@ def monomial(weights: dict, matching: Iterable[str]) -> Fraction:
 
 
 def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
-    """Partition functions D_I as a total Plucker vector."""
+    """Partition functions D_I as a total Plucker vector.
+
+    On a reduced graph they are the scaled maximal minors of the path-sum
+    matrix of the acyclic perfect orientation that the matching with the
+    Gale-minimal boundary defines (``boundary_measurement_matrix``), in
+    polynomial time.  A graph that is not reduced need not have such an
+    orientation, so there the monomials are summed over every matching, in
+    exponential time.
+    """
     weights = check_weighting(graph, weights)
+    if graph.is_reduced()[0]:
+        return _network_pluecker(graph, *boundary_measurement_matrix(graph, weights))
     coords = {I: Q(0) for I in combinations(range(1, graph.n + 1), graph.k)}
     matchings = enumerate_matchings(graph)
     if not matchings:
@@ -54,6 +64,76 @@ def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
     for m in matchings:
         coords[matching_boundary(graph, m)] += monomial(weights, m)
     return PlueckerVector(graph.n, graph.k, coords)
+
+
+def boundary_measurement_matrix(
+    graph: PlabicGraph, weights: dict
+) -> tuple[RationalMatrix, Fraction]:
+    """(A, scale) with D_I = scale * Delta_I(A) for every k-subset I.
+
+    Postnikov's path sums (math/0609764) on a perfect orientation of a
+    reduced graph.  The maximal matching M0 of the boundary face at n (its
+    upstream wedges) is the only matching whose boundary is I_O, the
+    Gale-minimal base for the order 1 < ... < n (Postnikov-Speyer-Williams,
+    0706.2501).  So the orientation that M0 defines (edges of M0 from black
+    to white, all others from white to black) has no directed cycle, which
+    would be an alternating cycle giving a second matching with boundary
+    I_O.  Its sources are I_O.  A path's weight is the product of z_e off M0
+    and 1/z_e on M0; row r of A holds the identity in the source columns and
+    (-1)^{#sources strictly between i_r and j} times the sum of the paths
+    from source i_r to sink j elsewhere.  The path sums cost O(k E) for E
+    edges.  scale is the monomial of M0; for k = 0 the matrix has no rows.
+    """
+    weights = check_weighting(graph, weights)
+    m0 = extremal_matching(graph, graph.boundary_face(graph.n).id, "max")
+    arcs = {v: [] for v in [*graph.colors, *graph.boundary_vertices()]}
+    indegree = dict.fromkeys(arcs, 0)
+    for e, (u, w) in graph.edges.items():
+        # a boundary vertex takes the colour opposite to its neighbour's
+        white = u if graph.colors.get(u) == "white" or graph.colors.get(w) == "black" else w
+        black = w if white == u else u
+        if e in m0:
+            tail, head, weight = black, white, 1 / weights[e]
+        else:
+            tail, head, weight = white, black, weights[e]
+        arcs[tail].append((head, weight))
+        indegree[head] += 1
+    order = [v for v, d in indegree.items() if d == 0]
+    for v in order:
+        for head, _ in arcs[v]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                order.append(head)
+    if len(order) != len(arcs):
+        raise AssertionError("the perfect orientation of the Gale-minimal matching has a cycle")
+    sources = [i for i in graph.boundary_vertices() if arcs[i]]
+    rows = []
+    for source in sources:
+        paths = {source: Q(1)}
+        for v in order:
+            total = paths.get(v)
+            if total:
+                for head, weight in arcs[v]:
+                    paths[head] = paths.get(head, 0) + total * weight
+        row = []
+        for j in graph.boundary_vertices():
+            if j in sources:
+                row.append(Q(1) if j == source else Q(0))
+            else:
+                between = sum(1 for s in sources if min(source, j) < s < max(source, j))
+                row.append((-1) ** between * paths.get(j, Q(0)))
+        rows.append(row)
+    matrix = RationalMatrix.build(rows) if rows else RationalMatrix(())
+    return matrix, monomial(weights, m0)
+
+
+def _network_pluecker(
+    graph: PlabicGraph, matrix: RationalMatrix, scale: Fraction
+) -> PlueckerVector:
+    """scale times the maximal minors of a boundary measurement matrix."""
+    if not matrix.rows:  # k = 0: the one empty minor is 1
+        return PlueckerVector(graph.n, 0, {(): scale})
+    return pluecker(matrix).scaled(scale)
 
 
 def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
@@ -270,19 +350,18 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     graph.require_reduced()
     rng = random.Random(seed)
     report = []
-    matchings = enumerate_matchings(graph)
-    boundaries = sorted({matching_boundary(graph, m) for m in matchings})
     for trial in range(trials):
         z = random_weighting(graph, rng)
-        p = measure(graph, z)
+        network = boundary_measurement_matrix(graph, z)
+        p = _network_pluecker(graph, *network)
         A = matrix_from_pluecker(p)
         right = pluecker(twist(A, "right"))
         left = pluecker(twist(A, "left"))
 
-        got = face_pluecker(graph, right, "source")
+        right_source = face_pluecker(graph, right, "source")
         want = monomial_map(graph, z, "min")
         entry = {"check": "right-square", "trial": trial, "status": "pass"}
-        if got != want:
+        if right_source != want:
             entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
         report.append(entry)
 
@@ -293,12 +372,17 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
             entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
         report.append(entry)
 
-        recovered, _ = boundary_partial(graph, face_pluecker(graph, right, "source"), "min")
+        # equal (matrix, scale) pairs are equal measurements, which on a
+        # reduced graph means equal monomials on every matching: the
+        # measurement is injective on gauge classes
+        recovered, _ = boundary_partial(graph, right_source, "min")
         entry = {"check": "inversion", "trial": trial, "status": "pass"}
-        if any(monomial(recovered, m) != monomial(z, m) for m in matchings):
+        if boundary_measurement_matrix(graph, recovered) != network:
             entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
         report.append(entry)
 
+        # the weights are positive, so the support is the set of matching boundaries
+        boundaries = p.support()
         source_values = face_pluecker(graph, p, "source")
         picks = [boundaries[rng.randrange(len(boundaries))] for _ in range(3)]
         for J in picks:

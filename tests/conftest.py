@@ -1,4 +1,5 @@
 import sys
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from positroids import fixtures  # noqa: E402
+from positroids.core import BoundedAffinePermutation  # noqa: E402
+
+
+def all_bounded_affine(n):
+    """Every bounded affine permutation of type (k, n), over all k: each
+    permutation of [n] with each fixed point a lifted to a or to a + n."""
+    out = []
+    for perm in permutations(range(1, n + 1)):
+        lifts = [(a, a + n) if r == a else (r if r > a else r + n,) for a, r in enumerate(perm, 1)]
+        out += (BoundedAffinePermutation(values) for values in product(*lifts))
+    return out
 
 
 @pytest.fixture(scope="session")

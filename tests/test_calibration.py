@@ -3,8 +3,7 @@ vertices: strand labels against necklaces, the incidence identity, extremal
 boundaries, and the diagram itself on a sample.  These sweep lollipops,
 buffer vertices and stacked bridges through all the derived machinery.
 """
-from itertools import permutations
-
+from conftest import all_bounded_affine
 from positroids.core import BoundedAffinePermutation, necklace_from_perm
 from positroids.matchings import (
     extremal_matching,
@@ -13,21 +12,6 @@ from positroids.matchings import (
 )
 from positroids.measurement import verify_diagram
 from positroids.moves import synthesize
-
-
-def all_bounded_affine(n):
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        def rec(a, values):
-            if a > n:
-                out.append(BoundedAffinePermutation(tuple(values)))
-                return
-            r = perm[a - 1]
-            lifts = [a, a + n] if r == a else [r if r > a else r + n]
-            for v in lifts:
-                rec(a + 1, values + [v])
-        rec(1, [])
-    return out
 
 
 def test_labels_and_wedges_on_all_small_graphs():

@@ -1,7 +1,8 @@
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
+from conftest import all_bounded_affine
 from positroids.core import (
     BoundedAffinePermutation,
     GrassmannNecklace,
@@ -100,21 +101,6 @@ def test_necklace_from_perm_top_and_bottom():
     assert necklace_from_perm(top).elements == ((1, 2, 3),) * 3
     bottom = BoundedAffinePermutation((1, 2, 3, 4))
     assert necklace_from_perm(bottom).elements == ((),) * 4
-
-
-def all_bounded_affine(n):
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        def rec(a, values):
-            if a > n:
-                out.append(BoundedAffinePermutation(tuple(values)))
-                return
-            r = perm[a - 1]
-            lifts = [a, a + n] if r == a else [r if r > a else r + n]
-            for v in lifts:
-                rec(a + 1, values + [v])
-        rec(1, [])
-    return out
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -4,9 +4,14 @@ from itertools import combinations
 
 import pytest
 
+from conftest import all_bounded_affine
+from positroids import fixtures, matchings, measurement
+from positroids.core import gale_min
 from positroids.errors import PreconditionError
-from positroids.linalg import RationalMatrix, minor, pluecker, twist
+from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
+from positroids.matchings import enumerate_matchings, matching_boundary
 from positroids.measurement import (
+    boundary_measurement_matrix,
     boundary_partial,
     face_pluecker,
     gauge_apply,
@@ -15,11 +20,14 @@ from positroids.measurement import (
     measure,
     monodromy,
     monodromy_from_neighbors,
+    monomial,
     monomial_map,
     random_weighting,
     twisted_pluecker_laurent,
     verify_diagram,
 )
+from positroids.moves import synthesize
+from positroids.plabic import PlabicGraph
 
 LETTERS = "abcdefghijklmnopqrstu"
 
@@ -114,8 +122,6 @@ def test_matrix_from_pluecker_round_trips(square4):
 
 
 def test_matrix_from_pluecker_rejects_bad_vector():
-    from positroids.linalg import PlueckerVector
-
     coords = {I: Q(0) for I in combinations(range(1, 7), 3)}
     coords[(1, 2, 3)] = Q(1)
     coords[(4, 5, 6)] = Q(1)
@@ -287,3 +293,94 @@ def test_gauge_fix(square4):
     fixed = gauge_fix(square4, z, targets)
     assert all(fixed[e] == 1 for e in targets)
     assert measure(square4, fixed).coords.keys() == measure(square4, z).coords.keys()
+
+
+def enumerative_measure(graph, weights):
+    """The oracle: D_I as the sum of monomials over the matchings with boundary I."""
+    coords = {I: Q(0) for I in combinations(range(1, graph.n + 1), graph.k)}
+    for m in enumerate_matchings(graph):
+        coords[matching_boundary(graph, m)] += monomial(weights, m)
+    return PlueckerVector(graph.n, graph.k, coords)
+
+
+def assert_measure_matches_enumeration(graph, weights):
+    p = measure(graph, weights)
+    assert p == enumerative_measure(graph, weights)
+    A, scale = boundary_measurement_matrix(graph, weights)
+    sources = gale_min(p.support(), 1, graph.n)
+    assert scale == p[sources]
+    assert minor(A, sources) == 1
+    for r, i in enumerate(sources):
+        assert [row[i - 1] for row in A.rows] == [Q(int(r == s)) for s in range(len(sources))]
+
+
+@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+def test_measure_matches_enumeration_on_fixtures(name):
+    g = fixtures.load(name)
+    rng = random.Random(f"oracle-{name}")
+    for _ in range(3):
+        assert_measure_matches_enumeration(g, random_weighting(g, rng))
+
+
+def test_measure_matches_enumeration_on_small_cells():
+    rng = random.Random(31)
+    ks = set()
+    for n in range(1, 6):
+        for pi in all_bounded_affine(n):
+            g = synthesize(pi)
+            assert_measure_matches_enumeration(g, random_weighting(g, rng))
+            ks.add((pi.k, n))
+    # the k = 0 cells measure to {(): scale}, from a matrix with no rows
+    assert {(0, n) for n in range(1, 6)} | {(n, n) for n in range(1, 6)} <= ks
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_measure_matches_enumeration_on_sampled_cells(n):
+    rng = random.Random(f"cells-{n}")
+    for pi in rng.sample(all_bounded_affine(n), 40):
+        g = synthesize(pi)
+        assert_measure_matches_enumeration(g, random_weighting(g, rng))
+
+
+def test_measure_enumerates_on_a_graph_that_is_not_reduced(square4):
+    g = PlabicGraph(
+        4,
+        dict(square4.colors),
+        {**square4.edges, "dup": ("v1", "v2")},
+        {
+            **square4.rotations,
+            "v1": ("leg1", "s12", "dup", "s41"),
+            "v2": ("dup", "s12", "leg2", "s23"),
+        },
+    )
+    assert not g.is_reduced()[0]
+    z = random_weighting(g, random.Random(33))
+    assert measure(g, z) == enumerative_measure(g, z)
+
+
+def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
+    def broken(graph, face_vector, direction):
+        weights, note = boundary_partial(graph, face_vector, direction)
+        # not a gauge transform: one internal edge alone doubles
+        return {**weights, "bd": 2 * weights["bd"]}, note
+
+    monkeypatch.setattr(measurement, "boundary_partial", broken)
+    report = verify_diagram(d4, seed=7, trials=2)
+    inversions = [r for r in report if r["check"] == "inversion"]
+    assert [r["status"] for r in inversions] == ["fail", "fail"]
+    assert all(set(r["witness"]) == set(d4.edges) for r in inversions)
+    assert all(r["status"] == "pass" for r in report if r["check"] != "inversion")
+
+
+def test_verify_diagram_never_lists_every_matching(monkeypatch):
+    calls = []
+
+    def spy(graph, boundary=None):
+        calls.append(boundary)
+        return enumerate_matchings(graph, boundary)
+
+    monkeypatch.setattr(measurement, "enumerate_matchings", spy)
+    monkeypatch.setattr(matchings, "enumerate_matchings", spy)
+    report = verify_diagram(fixtures.load("d4"), seed=7, trials=2)
+    assert all(r["status"] == "pass" for r in report)
+    assert calls and None not in calls

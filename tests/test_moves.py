@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as Q
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
+from conftest import all_bounded_affine
 from positroids.core import BoundedAffinePermutation, length
 from positroids.matchings import graph_positroid
 from positroids.measurement import measure, random_weighting, verify_diagram
@@ -225,21 +226,6 @@ def test_lollipop_keeps_faces(square4):
     assert len(white.faces()) == len(square4.faces())
     assert length(black.trip_permutation()) == length(pi) + k
     assert length(white.trip_permutation()) == length(pi) + (n - k)
-
-
-def all_bounded_affine(n):
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        def rec(a, values):
-            if a > n:
-                out.append(BoundedAffinePermutation(tuple(values)))
-                return
-            r = perm[a - 1]
-            lifts = [a, a + n] if r == a else [r if r > a else r + n]
-            for v in lifts:
-                rec(a + 1, values + [v])
-        rec(1, [])
-    return out
 
 
 @pytest.mark.parametrize("n", range(1, 5))

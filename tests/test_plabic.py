@@ -1,9 +1,8 @@
-from itertools import permutations, product
-
 import pytest
 
+from conftest import all_bounded_affine
 from positroids import fixtures
-from positroids.core import BoundedAffinePermutation, necklace_from_perm
+from positroids.core import necklace_from_perm
 from positroids.moves import synthesize
 from positroids.plabic import GraphError, PlabicGraph
 
@@ -305,13 +304,6 @@ def scan_face_walks(g):
     return walks
 
 
-def bounded_affine_permutations(n):
-    for perm in permutations(range(1, n + 1)):
-        lifts = [(a, a + n) if r == a else (r if r > a else r + n,) for a, r in enumerate(perm, 1)]
-        for values in product(*lifts):
-            yield BoundedAffinePermutation(values)
-
-
 def assert_index_matches_scans(g):
     assert [f.walk for f in g.faces()] == scan_face_walks(g)
     assert g.k == scan_k(g)
@@ -336,7 +328,7 @@ def test_index_matches_scans_on_fixtures(name):
 def test_index_matches_scans_on_synthesized_graphs():
     count = 0
     for n in range(1, 5):
-        for pi in bounded_affine_permutations(n):
+        for pi in all_bounded_affine(n):
             assert_index_matches_scans(synthesize(pi))
             count += 1
     assert count == 2 + 5 + 16 + 65
