@@ -2,15 +2,22 @@
 
 Matrices are k x n grids of ``fractions.Fraction``; columns are addressed by
 any integer, reduced mod n.  Everything here is pure and value-semantic.
+
+All elimination runs in one fraction-free kernel, ``_Echelon``: a column's
+denominators are cleared once, then integer Bareiss elimination takes the
+columns one at a time.  ``det``, ``rank`` and the twist's solves use it, and
+``matrix_necklace`` makes n incremental echelon scans, one per cyclic
+interval a, a+1, ..., a+n-1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
-from .core import BoundedAffinePermutation, GrassmannNecklace, implied_window
+from .core import GrassmannNecklace, implied_window, necklace_from_perm, perm_from_necklace
 from .errors import PreconditionError
 
 Q = Fraction
@@ -68,29 +75,64 @@ class RationalMatrix:
         return m
 
 
+def _integer_column(column: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The column times the lcm d of its denominators, as ints, and d."""
+    d = lcm(*(x.denominator for x in column))
+    return [x.numerator * (d // x.denominator) for x in column], d
+
+
+class _Echelon:
+    """Bareiss elimination of k-row integer columns, fed one at a time.
+
+    A column is reduced against the pivots kept so far; an entry left in a
+    row that is not yet a pivot row makes it a pivot there.  Every entry
+    kept is a minor of the columns fed, so the divisions are exact.
+    """
+
+    def __init__(self, k: int):
+        self.free = range(k)  # rows that are not yet pivot rows
+        self.pivots: list = []  # (pivot row, reduced column, rows still free)
+
+    def reduce(self, column: Sequence[int]) -> list[int]:
+        v = list(column)
+        prev = 1
+        for r, col, rest in self.pivots:
+            p, x = col[r], v[r]
+            for i in rest:
+                v[i] = (p * v[i] - col[i] * x) // prev
+            prev = p
+        return v
+
+    def add(self, column: Sequence[int]) -> bool:
+        """Reduce the column; keep it and return True if it adds a pivot."""
+        v = self.reduce(column)
+        r = next((i for i in self.free if v[i]), None)
+        if r is None:
+            return False
+        self.free = [i for i in self.free if i != r]
+        self.pivots.append((r, v, self.free))
+        return True
+
+
 def det(columns: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix given by its columns, by exact elimination."""
+    """Determinant of a square matrix given by its columns, by exact elimination.
+
+    With the pivot rows r_1, ..., r_k in the order they were found, the last
+    Bareiss pivot is the determinant of the rows taken in that order.
+    """
     k = len(columns)
     if any(len(c) != k for c in columns):
         raise ValueError("determinant of a non-square array")
-    m = [[columns[j][i] for j in range(k)] for i in range(k)]
-    sign = Q(1)
-    for col in range(k):
-        pivot_row = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if pivot_row is None:
+    echelon = _Echelon(k)
+    scale = 1
+    for c in columns:
+        ints, d = _integer_column(c)
+        if not echelon.add(ints):
             return Q(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, k):
-            if m[r][col] != 0:
-                factor = m[r][col] / pivot
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    result = sign
-    for i in range(k):
-        result *= m[i][i]
-    return result
+        scale *= d
+    order = [r for r, _, _ in echelon.pivots]
+    last = echelon.pivots[-1][1][order[-1]] if k else 1
+    return Q(permutation_sign(order) * last, scale)
 
 
 def minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
@@ -141,22 +183,12 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 
 def rank(matrix: RationalMatrix) -> int:
-    m = [list(row) for row in matrix.rows]
-    r = 0
-    for col in range(matrix.n):
-        pivot_row = next((i for i in range(r, matrix.k) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][col]
-        for i in range(r + 1, matrix.k):
-            if m[i][col] != 0:
-                factor = m[i][col] / pivot
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == matrix.k:
+    echelon = _Echelon(matrix.k)
+    for a in range(1, matrix.n + 1):
+        if not echelon.free:
             break
-    return r
+        echelon.add(_integer_column(matrix.column(a))[0])
+    return len(echelon.pivots)
 
 
 @dataclass(frozen=True)
@@ -203,89 +235,57 @@ def pluecker(matrix: RationalMatrix) -> PlueckerVector:
     return PlueckerVector(matrix.n, matrix.k, coords)
 
 
-def _greedy_basis(matrix: RationalMatrix, order: Sequence[int]) -> tuple[int, ...]:
-    """Greedy column basis scanning ``order``; returns sorted 1-based labels."""
-    picked: list[int] = []
-    m: list[list[Fraction]] = []
-    r = 0
-    for a in order:
-        candidate = m + [list(matrix.column(a))]
-        rr = rank(RationalMatrix.build(candidate))
-        if rr > r:
-            picked.append((a - 1) % matrix.n + 1)
-            m = candidate
-            r = rr
-        if r == matrix.k:
-            break
-    if r != matrix.k:
-        raise PreconditionError("matrix is rank deficient")
-    return tuple(sorted(picked))
-
-
 def matrix_necklace(matrix: RationalMatrix):
     """(pi, forward necklace, reverse necklace) of a rank-k matrix.
 
-    pi(a) is the minimal r >= a with A_a in span(A_{a+1}, ..., A_r); zero
-    columns give pi(a) = a and columns outside the span of the others give
-    pi(a) = a + n.
+    I_a is the lex-first basis in the order a, a+1, ..., a+n-1, found by one
+    incremental echelon scan from a.  pi(a) is the minimal r >= a with A_a in
+    span(A_{a+1}, ..., A_r) (zero columns give pi(a) = a and columns outside
+    the span of the others pi(a) = a + n); it and the reverse necklace are
+    read off the forward necklace (Knutson-Lam-Speyer).
     """
     n, k = matrix.n, matrix.k
-    if rank(matrix) != k:
-        raise PreconditionError("matrix is rank deficient")
-    values = []
-    for a in range(1, n + 1):
-        col = matrix.column(a)
-        if all(x == 0 for x in col):
-            values.append(a)
-            continue
-        cols: list = []
-        r = a
-        while True:
-            r += 1
-            cols.append(list(matrix.column(r)))
-            if rank(RationalMatrix.build(list(zip(*cols)))) == rank(
-                RationalMatrix.build(list(zip(*cols, col)))
-            ):
-                values.append(r)
+    columns = [_integer_column(matrix.column(a))[0] for a in range(1, n + 1)]
+    elements = []
+    for a in range(n):
+        echelon = _Echelon(k)
+        picked = []
+        for j in range(a, a + n):
+            if not echelon.free:
                 break
-            if r > a + n:
-                raise AssertionError("unreachable: pi(a) <= a + n")
-    pi = BoundedAffinePermutation(tuple(values))
-    forward = GrassmannNecklace(
-        tuple(
-            _greedy_basis(matrix, range(a, a + n))
-            for a in range(1, n + 1)
-        ),
-        n,
-        "forward",
-    )
-    reverse = GrassmannNecklace(
-        tuple(
-            _greedy_basis(matrix, range(a, a - n, -1))
-            for a in range(1, n + 1)
-        ),
-        n,
-        "reverse",
-    )
-    return pi, forward, reverse
+            if echelon.add(columns[j % n]):
+                picked.append(j % n + 1)
+        if echelon.free:
+            raise PreconditionError("matrix is rank deficient")
+        elements.append(tuple(sorted(picked)))
+    forward = GrassmannNecklace(tuple(elements), n, "forward")
+    pi = perm_from_necklace(forward)
+    return pi, forward, necklace_from_perm(pi, "reverse")
 
 
 def _solve(columns: list, rhs: list) -> list:
-    """Solve the square system (columns as matrix columns) x = rhs exactly."""
+    """Solve the square system (columns as matrix columns) x = rhs exactly.
+
+    The columns and rhs are scaled to integers (x_j picks up d_j / d_rhs).
+    With U_u column u as reduced when it became a pivot, the reduced system's
+    pivot row r_t reads sum_{u >= t} U_u[r_t] y_u = b[r_t].
+    """
     k = len(rhs)
-    m = [[columns[j][i] for j in range(k)] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        pivot_row = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if pivot_row is None:
+    echelon = _Echelon(k)
+    scales = []
+    for c in columns:
+        ints, d = _integer_column(c)
+        if not echelon.add(ints):
             raise ValueError("singular twist system")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][k] for i in range(k)]
+        scales.append(d)
+    ints, d_rhs = _integer_column(rhs)
+    b = echelon.reduce(ints)
+    y: list = [None] * k
+    for t in reversed(range(k)):
+        r, col, _ = echelon.pivots[t]
+        s = b[r] - sum(echelon.pivots[u][1][r] * y[u] for u in range(t + 1, k))
+        y[t] = Q(s) / col[r]
+    return [y[j] * Q(scales[j], d_rhs) for j in range(k)]
 
 
 def twist(matrix: RationalMatrix, direction: str) -> RationalMatrix:

@@ -46,6 +46,8 @@ def enumerate_matchings(
 def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[frozenset]:
     vertices = sorted(graph.colors)
     incident = {v: sorted(graph.incident(v)) for v in vertices}
+    # the internal ends of each edge: the vertices to revisit once it is assigned
+    ends = {e: [x for x in dict.fromkeys(uw) if x in incident] for e, uw in graph.edges.items()}
     state: dict[str, Optional[bool]] = {e: None for e in graph.edges}
 
     if boundary is not None:
@@ -64,30 +66,37 @@ def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[froze
             while len(trail) > n_true:
                 assignments[trail.pop()] = None
 
-        def prop():
+        def prop(dirty):
+            """Unit propagation to a fixpoint, visiting only the vertices in
+            ``dirty`` and those incident to an edge it assigns."""
             start = len(trail)
-            while True:
-                changed = False
-                for v in vertices:
-                    chosen = [e for e in incident[v] if assignments[e] is True]
-                    free = [e for e in incident[v] if assignments[e] is None]
-                    if len(chosen) > 1 or (not chosen and not free):
-                        undo(start)
-                        return None
-                    if len(chosen) == 1 and free:
-                        for e in free:
-                            assignments[e] = False
-                            trail.append(e)
-                        changed = True
-                    elif not chosen and len(free) == 1:
-                        assignments[free[0]] = True
-                        trail.append(free[0])
-                        changed = True
-                if not changed:
-                    return start
+            work = list(dict.fromkeys(dirty))
+            queued = set(work)
+            while work:
+                v = work.pop()
+                queued.discard(v)
+                chosen = [e for e in incident[v] if assignments[e] is True]
+                free = [e for e in incident[v] if assignments[e] is None]
+                if len(chosen) > 1 or (not chosen and not free):
+                    undo(start)
+                    return None
+                if len(chosen) == 1 and free:
+                    value = False
+                elif not chosen and len(free) == 1:
+                    value = True
+                else:
+                    continue
+                for e in free:
+                    assignments[e] = value
+                    trail.append(e)
+                    for x in ends[e]:
+                        if x != v and x not in queued:
+                            queued.add(x)
+                            work.append(x)
+            return start
 
-        def rec():
-            start = prop()
+        def rec(dirty):
+            start = prop(dirty)
             if start is None:
                 return
             pivot = None
@@ -99,10 +108,11 @@ def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[froze
                 results.append(frozenset(e for e, val in assignments.items() if val))
             else:
                 options = [e for e in incident[pivot] if assignments[e] is None]
-                for e in options:
+                for i, e in enumerate(options):
                     assignments[e] = True
                     trail.append(e)
-                    rec()
+                    # e and the options set False before it are the new assignments
+                    rec([x for f in options[: i + 1] for x in ends[f]])
                     undo(len(trail) - 1)
                     assignments[e] = False
                     trail.append(e)
@@ -110,7 +120,7 @@ def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[froze
                     assignments[trail.pop()] = None
             undo(start)
 
-        rec()
+        rec(vertices)
         # rec refers to itself through its closure; break that cycle so the
         # matchings it holds are freed by reference counting, not by a later
         # full garbage collection

@@ -96,15 +96,28 @@ class PlabicGraph:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PlabicGraph":
-        if not isinstance(payload["n"], int):
-            raise ValueError(f"graph size n must be an integer, got {payload['n']!r}")
-        colors = {v["id"]: v["color"] for v in payload["internal"]}
+        """Internal vertex ids must be non-empty strings and boundary vertices
+        ints in [1, n] (not bools), since ``is_boundary`` tells them apart by
+        type."""
+        n = payload["n"]
+        if type(n) is not int:
+            raise ValueError(f"graph size n must be an integer, got {n!r}")
+        colors = {}
+        for v in payload["internal"]:
+            if not isinstance(v["id"], str) or not v["id"]:
+                raise ValueError(f"internal vertex id must be a non-empty string, got {v['id']!r}")
+            colors[v["id"]] = v["color"]
         edges = {}
         for e in payload["edges"]:
             u, w = e["ends"]
+            for x in (u, w):
+                if not (isinstance(x, str) and x) and not (type(x) is int and 1 <= x <= n):
+                    raise ValueError(
+                        f"edge {e['id']!r} end {x!r} is neither an internal id nor in [1, {n}]"
+                    )
             edges[e["id"]] = (u, w)
         rotations = {v: list(r) for v, r in payload["rotation"].items()}
-        return cls(payload["n"], colors, edges, rotations)
+        return cls(n, colors, edges, rotations)
 
     def to_json(self) -> dict:
         return {

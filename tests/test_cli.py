@@ -132,10 +132,23 @@ def square4_with_string_n():
     return json.dumps(payload)
 
 
+def square4_with_vertex_id(new_id):
+    """square4 with its first internal vertex renamed to a non-string id."""
+    payload = json.loads((FIXTURES / "square4.json").read_text())
+    old = payload["internal"][0]["id"]
+    payload["internal"][0]["id"] = new_id
+    for edge in payload["edges"]:
+        edge["ends"] = [new_id if x == old else x for x in edge["ends"]]
+    payload["rotation"][json.dumps(new_id)] = payload["rotation"].pop(old)
+    return json.dumps(payload)
+
+
 MALFORMED = {
     "not-json": (("inspect",), "not json"),
     "float-in-matrix": (("twist", "--right"), json.dumps({"rows": [[1.5, 2], [0, 1]]})),
     "string-n": (("inspect",), square4_with_string_n()),
+    "int-vertex-id": (("inspect",), square4_with_vertex_id(7)),
+    "bool-vertex-id": (("verify",), square4_with_vertex_id(True)),
 }
 
 

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from positroids import fixtures
+from positroids.core import necklace_from_perm, perm_from_necklace
 from positroids.errors import PreconditionError
 from positroids.linalg import (
     RationalMatrix,
+    det,
     double_twist_mu,
     matrix_necklace,
     minor,
@@ -14,6 +20,7 @@ from positroids.linalg import (
     signed_minor,
     twist,
 )
+from positroids.measurement import matrix_from_pluecker, measure, random_weighting
 
 CHAIN = [
     RationalMatrix.build([[1, 0, 1, 0, 1], [-1, 1, 0, 0, 0], [1, -1, 0, 1, 1]]),
@@ -356,3 +363,232 @@ def test_square4_measured_matrix_necklace(square4):
 def test_matrix_json_round_trip():
     m = CHAIN[0]
     assert RationalMatrix.from_json(m.to_json()) == m
+
+
+# -- oracles: the Fraction elimination that the fraction-free kernel replaced --
+
+
+def oracle_det(columns):
+    k = len(columns)
+    m = [[columns[j][i] for j in range(k)] for i in range(k)]
+    sign = Q(1)
+    for col in range(k):
+        pivot_row = next((r for r in range(col, k) if m[r][col] != 0), None)
+        if pivot_row is None:
+            return Q(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        for r in range(col + 1, k):
+            if m[r][col] != 0:
+                factor = m[r][col] / pivot
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    result = sign
+    for i in range(k):
+        result *= m[i][i]
+    return result
+
+
+def oracle_rank(matrix):
+    m = [list(row) for row in matrix.rows]
+    r = 0
+    for col in range(matrix.n):
+        pivot_row = next((i for i in range(r, matrix.k) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r][col]
+        for i in range(r + 1, matrix.k):
+            if m[i][col] != 0:
+                factor = m[i][col] / pivot
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == matrix.k:
+            break
+    return r
+
+
+def oracle_greedy_basis(matrix, order):
+    picked = []
+    m = []
+    r = 0
+    for a in order:
+        candidate = m + [list(matrix.column(a))]
+        rr = oracle_rank(RationalMatrix.build(candidate))
+        if rr > r:
+            picked.append((a - 1) % matrix.n + 1)
+            m = candidate
+            r = rr
+        if r == matrix.k:
+            break
+    if r != matrix.k:
+        raise PreconditionError("matrix is rank deficient")
+    return tuple(sorted(picked))
+
+
+def oracle_matrix_necklace(matrix):
+    """pi from the least r with A_a in span(A_{a+1..r}), and both necklaces
+    from greedy bases, every step a from-scratch rank."""
+    n, k = matrix.n, matrix.k
+    if oracle_rank(matrix) != k:
+        raise PreconditionError("matrix is rank deficient")
+    values = []
+    for a in range(1, n + 1):
+        col = matrix.column(a)
+        if all(x == 0 for x in col):
+            values.append(a)
+            continue
+        cols = []
+        r = a
+        while True:
+            r += 1
+            cols.append(list(matrix.column(r)))
+            if oracle_rank(RationalMatrix.build(list(zip(*cols)))) == oracle_rank(
+                RationalMatrix.build(list(zip(*cols, col)))
+            ):
+                values.append(r)
+                break
+    forward = tuple(oracle_greedy_basis(matrix, range(a, a + n)) for a in range(1, n + 1))
+    reverse = tuple(oracle_greedy_basis(matrix, range(a, a - n, -1)) for a in range(1, n + 1))
+    return tuple(values), forward, reverse
+
+
+def assert_necklace_matches_oracle(matrix):
+    try:
+        want = oracle_matrix_necklace(matrix)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            matrix_necklace(matrix)
+        return
+    pi, forward, reverse = matrix_necklace(matrix)
+    assert (pi.values, forward.elements, reverse.elements) == want
+
+
+def awkward_entry(rng):
+    """Mostly small; sometimes a large numerator over a large denominator."""
+    if rng.random() < 0.2:
+        return Q(rng.randint(-(10**12), 10**12), rng.randint(1, 10**9))
+    return Q(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def awkward_matrix(rng, k, n):
+    """Zero columns, columns parallel to earlier ones and, half the time, a
+    coloop: the last row vanishes outside one column."""
+    columns = []
+    for j in range(n):
+        roll = rng.random()
+        if roll < 0.15:
+            columns.append([Q(0)] * k)
+        elif roll < 0.35 and j:
+            factor = Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            columns.append([factor * x for x in columns[rng.randrange(j)]])
+        else:
+            columns.append([awkward_entry(rng) for _ in range(k)])
+    if rng.random() < 0.5:
+        coloop = rng.randrange(n)
+        for j, c in enumerate(columns):
+            c[-1] = Q(rng.randint(1, 5)) if j == coloop else Q(0)
+    return RationalMatrix.build(list(zip(*columns)))
+
+
+def test_det_small_cases():
+    assert det([]) == 1
+    assert det([[Q(-3, 7)]]) == Q(-3, 7)
+    assert det([[Q(0)]]) == 0
+    # the first pivot needs a row swap
+    assert det([[Q(0), Q(2)], [Q(3), Q(5)]]) == -6
+    assert det([[Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(1)], [Q(1), Q(0), Q(0)]]) == 1
+
+
+def test_kernel_matches_oracles_on_random_matrices():
+    rng = random.Random(20)
+    for k in range(1, 7):
+        for n in range(k, 13):
+            for m in (random_matrix(rng, k, n, -9, 9), awkward_matrix(rng, k, n)):
+                assert rank(m) == oracle_rank(m)
+                assert_necklace_matches_oracle(m)
+                for _ in range(4):
+                    columns = [m.column(a) for a in sorted(rng.sample(range(1, n + 1), k))]
+                    assert det(columns) == oracle_det(columns)
+
+
+def test_det_of_singular_blocks_is_zero():
+    rng = random.Random(21)
+    for k in range(1, 7):
+        for _ in range(3):
+            columns = [[awkward_entry(rng) for _ in range(k)] for _ in range(k - 1)]
+            weights = [awkward_entry(rng) for _ in columns]
+            combo = [sum((w * c[i] for w, c in zip(weights, columns)), Q(0)) for i in range(k)]
+            columns.insert(rng.randrange(k), combo)
+            assert oracle_det(columns) == 0
+            assert det(columns) == 0
+
+
+def test_rank_deficient_matrices_raise():
+    rng = random.Random(22)
+    for k in range(2, 7):
+        for n in (k, k + 3, 12):
+            # the last row is a combination of the others
+            rows = [[awkward_entry(rng) for _ in range(n)] for _ in range(k - 1)]
+            weights = [awkward_entry(rng) for _ in rows]
+            rows.append([sum((w * r[j] for w, r in zip(weights, rows)), Q(0)) for j in range(n)])
+            m = RationalMatrix.build(rows)
+            assert rank(m) == oracle_rank(m) < k
+            with pytest.raises(PreconditionError):
+                oracle_matrix_necklace(m)
+            with pytest.raises(PreconditionError):
+                matrix_necklace(m)
+
+
+@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+def test_kernel_matches_oracles_on_measured_fixtures(name):
+    g = fixtures.load(name)
+    a = matrix_from_pluecker(measure(g, random_weighting(g, random.Random(23))))
+    assert rank(a) == oracle_rank(a) == a.k
+    assert_necklace_matches_oracle(a)
+    for I in combinations(range(1, a.n + 1), a.k):
+        assert minor(a, I) == oracle_det([a.column(i) for i in I])
+
+
+def test_twist_solves_its_defining_relations():
+    # <tau_a, A_b> = delta_ab for b in I_a, on matrices with awkward columns
+    rng = random.Random(24)
+    for k in range(1, 7):
+        for n in (k, k + 2, 12):
+            m = awkward_matrix(rng, k, n)
+            if rank(m) < k:
+                continue
+            _, forward, reverse = matrix_necklace(m)
+            for direction, neck in (("right", forward), ("left", reverse)):
+                tau = twist(m, direction)
+                for a in range(1, n + 1):
+                    if not any(m.column(a)):
+                        assert not any(tau.column(a))
+                        continue
+                    for b in neck.element(a):
+                        dot = sum(x * y for x, y in zip(tau.column(a), m.column(b)))
+                        assert dot == (1 if b == a else 0)
+
+
+SMALL_FRACTIONS = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 3)])
+
+
+@st.composite
+def exact_matrices(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+    rows = draw(st.lists(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n), min_size=k, max_size=k))
+    return RationalMatrix.build(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(exact_matrices())
+def test_matrix_necklace_property(m):
+    assert_necklace_matches_oracle(m)
+    if rank(m) < m.k:
+        return
+    pi, forward, reverse = matrix_necklace(m)
+    assert forward == necklace_from_perm(pi, "forward")
+    assert reverse == necklace_from_perm(pi, "reverse")
+    assert perm_from_necklace(forward) == pi

@@ -2,7 +2,10 @@ from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from conftest import all_bounded_affine
 
+from positroids import fixtures
+from positroids.core import BoundedAffinePermutation
 from positroids.errors import PreconditionError
 from positroids.matchings import (
     enumerate_matchings,
@@ -15,6 +18,7 @@ from positroids.matchings import (
     swivel,
 )
 from positroids.measurement import monomial, random_weighting
+from positroids.moves import synthesize
 
 
 def test_square4_enumeration(square4):
@@ -209,3 +213,60 @@ def test_up_swivels_are_acyclic(schubert36, d4):
             above = poset._above()
             for i in range(len(poset.nodes)):
                 assert all(j != i for j in above[i] - {i})
+
+
+# matchings per boundary, as the exhaustive-rescan propagation found them;
+# a subset is written as its digits
+BOUNDARY_COUNTS = {
+    "square4": {"12": 1, "13": 1, "14": 1, "23": 1, "24": 2, "34": 1},
+    "gr36": {
+        "123": 1, "124": 3, "125": 3, "126": 1, "134": 3, "135": 5, "136": 2,
+        "145": 6, "146": 3, "156": 1, "234": 1, "235": 2, "236": 1, "245": 3,
+        "246": 2, "256": 1, "345": 1, "346": 1, "356": 1, "456": 1,
+    },
+    "d4": {
+        "1235": 1, "1236": 2, "1237": 1, "1238": 1, "1245": 2, "1246": 4, "1247": 2,
+        "1248": 2, "1256": 1, "1257": 1, "1258": 1, "1267": 1, "1268": 1, "1345": 1,
+        "1346": 2, "1347": 1, "1348": 1, "1356": 1, "1357": 2, "1358": 3, "1367": 3,
+        "1368": 5, "1378": 1, "1456": 1, "1457": 3, "1458": 5, "1467": 5, "1468": 9,
+        "1478": 2, "1567": 1, "1568": 2, "1578": 1, "1678": 1, "2345": 1, "2346": 2,
+        "2347": 1, "2348": 1, "2356": 1, "2357": 3, "2358": 5, "2367": 5, "2368": 9,
+        "2378": 2, "2456": 1, "2457": 5, "2458": 9, "2467": 9, "2468": 17, "2478": 4,
+        "2567": 2, "2568": 4, "2578": 2, "2678": 2, "3457": 1, "3458": 2, "3467": 2,
+        "3468": 4, "3478": 1, "3567": 1, "3568": 2, "3578": 1, "3678": 1, "4567": 1,
+        "4568": 2, "4578": 1, "4678": 1,
+    },
+}
+
+
+def graph_named(name):
+    if name == "gr36":
+        return synthesize(BoundedAffinePermutation((4, 5, 6, 7, 8, 9)))
+    return fixtures.load(name)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_COUNTS))
+def test_per_boundary_counts(name):
+    g = graph_named(name)
+    bases = graph_positroid(g).bases
+    counts = {"".join(map(str, J)): len(enumerate_matchings(g, J)) for J in bases}
+    assert counts == BOUNDARY_COUNTS[name]
+
+
+def assert_boundary_search_matches_filter(g):
+    by_boundary = {}
+    for m in enumerate_matchings(g):
+        by_boundary.setdefault(matching_boundary(g, m), []).append(m)
+    for J, ms in by_boundary.items():
+        assert enumerate_matchings(g, J) == ms
+
+
+@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+def test_boundary_search_matches_filter_on_fixtures(name):
+    assert_boundary_search_matches_filter(fixtures.load(name))
+
+
+def test_boundary_search_matches_filter_on_synthesized_graphs():
+    for n in range(1, 6):
+        for pi in all_bounded_affine(n):
+            assert_boundary_search_matches_filter(synthesize(pi))
