@@ -3,18 +3,20 @@
 Matrices are k x n grids of ``fractions.Fraction``; columns are addressed by
 any integer, reduced mod n.  Everything here is pure and value-semantic.
 
-All elimination runs in one fraction-free kernel, ``_Echelon``: a column's
+Elimination runs in one fraction-free kernel, ``_Echelon``: a column's
 denominators are cleared once, then integer Bareiss elimination takes the
-columns one at a time.  ``det``, ``rank`` and the twist's solves use it, and
-``matrix_necklace`` makes n incremental echelon scans, one per cyclic
-interval a, a+1, ..., a+n-1.
+columns one at a time.  ``det``, ``minor``, ``rank`` and the twist's solves
+use it, and ``matrix_necklace`` makes n incremental echelon scans, one per
+cyclic interval a, a+1, ..., a+n-1.  ``pluecker`` alone takes all maximal
+minors at once, by a Laplace expansion along the rows that shares each
+smaller minor between every column set containing it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .core import GrassmannNecklace, implied_window, necklace_from_perm, perm_from_necklace
@@ -227,12 +229,31 @@ class PlueckerVector:
 
 
 def pluecker(matrix: RationalMatrix) -> PlueckerVector:
-    """All binom(n, k) maximal minors of the matrix."""
+    """All binom(n, k) maximal minors, by one Laplace expansion along the rows.
+
+    Each column's denominators are cleared once.  The minor of the first r+1
+    rows on columns S expands along row r+1 into the minors of the first r
+    rows on S minus one column; each of those is computed once and shared by
+    every S that contains its columns.
+    """
+    n, k = matrix.n, matrix.k
+    columns, scales = zip(*(_integer_column(matrix.column(a)) for a in range(1, n + 1)))
+    minors = {(): 1}
+    for r in range(k):
+        row = [c[r] for c in columns]
+        expanded = {}
+        for S in combinations(range(n), r + 1):
+            total, sign = 0, (-1) ** r
+            for t, j in enumerate(S):
+                if row[j]:
+                    total += sign * row[j] * minors[S[:t] + S[t + 1:]]
+                sign = -sign
+            expanded[S] = total
+        minors = expanded
     coords = {
-        I: minor(matrix, I)
-        for I in combinations(range(1, matrix.n + 1), matrix.k)
+        tuple(j + 1 for j in S): Q(v, prod(scales[j] for j in S)) for S, v in minors.items()
     }
-    return PlueckerVector(matrix.n, matrix.k, coords)
+    return PlueckerVector(n, k, coords)
 
 
 def matrix_necklace(matrix: RationalMatrix):

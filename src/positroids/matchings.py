@@ -154,6 +154,7 @@ class IncidenceData:
     d_fe: tuple  # boundary matrix entries d[f][e]
     d_ve: tuple
     b: dict  # face id -> number of edges with that face directly downstream
+    face_edges: dict  # face id -> frozenset of the edges e with d[f][e] = 1
 
     def block_products_are_identity(self) -> bool:
         E = len(self.edge_order)
@@ -180,10 +181,9 @@ class IncidenceData:
     def face_exponents(self, matching: Iterable[str]) -> dict:
         """Exponent of each face in the minimal-matching monomial expansion."""
         matched = set(matching)
-        columns = [j for j, e in enumerate(self.edge_order) if e in matched]
         return {
-            fid: sum(self.d_fe[i][j] for j in columns) - (self.b[fid] - 1)
-            for i, fid in enumerate(self.face_order)
+            fid: len(self.face_edges[fid] & matched) - (self.b[fid] - 1)
+            for fid in self.face_order
         }
 
 
@@ -220,8 +220,12 @@ def _build_incidence_data(graph: PlabicGraph) -> IncidenceData:
         tuple(1 if v in graph.edges[e] else 0 for e in edge_order) for v in vertex_order
     )
     b = {fid: sum(1 for e in edge_order if dd[e] == fid) for fid in face_order}
+    face_edges = {
+        fid: frozenset(e for e, x in zip(edge_order, row) if x)
+        for fid, row in zip(face_order, d_fe)
+    }
     return IncidenceData(
-        edge_order, face_order, vertex_order, u_ef, u_ev, tuple(d_fe), d_ve, b
+        edge_order, face_order, vertex_order, u_ef, u_ev, tuple(d_fe), d_ve, b, face_edges
     )
 
 

@@ -312,10 +312,18 @@ class LaurentTerm:
     exponents: dict  # face id -> int
 
     def evaluate(self, face_values: dict) -> Fraction:
-        out = Q(1)
+        """The monomial, with numerator and denominator multiplied out as
+        ints and reduced once, not once per face."""
+        num = den = 1
         for fid, exp in self.exponents.items():
-            out *= as_fraction(face_values[fid]) ** exp
-        return out
+            if exp:
+                x = as_fraction(face_values[fid])
+                up, down = x.numerator, x.denominator
+                if exp < 0:
+                    up, down, exp = down, up, -exp
+                num *= up**exp
+                den *= down**exp
+        return Q(num, den)
 
 
 def twisted_pluecker_laurent(graph: PlabicGraph, subset: Sequence[int]) -> list[LaurentTerm]:

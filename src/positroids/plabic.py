@@ -27,6 +27,14 @@ class GraphError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _name(x, what: str) -> str:
+    """x itself if it is a non-empty string: the only hashable, unambiguous
+    name a graph file may give an internal vertex, an edge or a rotation entry."""
+    if not isinstance(x, str) or not x:
+        raise ValueError(f"{what} must be a non-empty string, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Face:
     id: str
@@ -96,27 +104,30 @@ class PlabicGraph:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PlabicGraph":
-        """Internal vertex ids must be non-empty strings and boundary vertices
-        ints in [1, n] (not bools), since ``is_boundary`` tells them apart by
-        type."""
+        """Internal vertex ids, edge ids and rotation entries must be non-empty
+        strings and boundary vertices ints in [1, n] (not bools), since
+        ``is_boundary`` tells them apart by type."""
         n = payload["n"]
         if type(n) is not int:
             raise ValueError(f"graph size n must be an integer, got {n!r}")
         colors = {}
         for v in payload["internal"]:
-            if not isinstance(v["id"], str) or not v["id"]:
-                raise ValueError(f"internal vertex id must be a non-empty string, got {v['id']!r}")
-            colors[v["id"]] = v["color"]
+            colors[_name(v["id"], "internal vertex id")] = v["color"]
         edges = {}
         for e in payload["edges"]:
+            eid = _name(e["id"], "edge id")
             u, w = e["ends"]
             for x in (u, w):
                 if not (isinstance(x, str) and x) and not (type(x) is int and 1 <= x <= n):
                     raise ValueError(
-                        f"edge {e['id']!r} end {x!r} is neither an internal id nor in [1, {n}]"
+                        f"edge {eid!r} end {x!r} is neither an internal id nor in [1, {n}]"
                     )
-            edges[e["id"]] = (u, w)
-        rotations = {v: list(r) for v, r in payload["rotation"].items()}
+            edges[eid] = (u, w)
+        rotations = {}
+        for v, r in payload["rotation"].items():
+            if not isinstance(r, list):
+                raise ValueError(f"rotation at {v!r} must be a list, got {r!r}")
+            rotations[v] = [_name(e, f"rotation entry at {v!r}") for e in r]
         return cls(n, colors, edges, rotations)
 
     def to_json(self) -> dict:

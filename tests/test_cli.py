@@ -143,12 +143,29 @@ def square4_with_vertex_id(new_id):
     return json.dumps(payload)
 
 
+def square4_with(where, value):
+    """square4 with its first edge id, the first entry of its first rotation
+    or that whole rotation replaced by value."""
+    payload = json.loads((FIXTURES / "square4.json").read_text())
+    first = next(iter(payload["rotation"]))
+    if where == "edge":
+        payload["edges"][0]["id"] = value
+    elif where == "rotation-entry":
+        payload["rotation"][first][0] = value
+    else:
+        payload["rotation"][first] = value
+    return json.dumps(payload)
+
+
 MALFORMED = {
     "not-json": (("inspect",), "not json"),
     "float-in-matrix": (("twist", "--right"), json.dumps({"rows": [[1.5, 2], [0, 1]]})),
     "string-n": (("inspect",), square4_with_string_n()),
     "int-vertex-id": (("inspect",), square4_with_vertex_id(7)),
     "bool-vertex-id": (("verify",), square4_with_vertex_id(True)),
+    "list-edge-id": (("inspect",), square4_with("edge", ["x"])),
+    "list-in-rotation": (("inspect",), square4_with("rotation-entry", ["x"])),
+    "int-rotation": (("inspect",), square4_with("rotation", 5)),
 }
 
 

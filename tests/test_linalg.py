@@ -571,6 +571,51 @@ def test_twist_solves_its_defining_relations():
                         assert dot == (1 if b == a else 0)
 
 
+def assert_pluecker_matches_minors(m):
+    """Every coordinate of the Laplace expansion equals its eliminated minor,
+    and a rank-deficient matrix has the zero Pluecker vector."""
+    p = pluecker(m)
+    assert (p.n, p.k) == (m.n, m.k)
+    assert set(p.coords) == set(combinations(range(1, m.n + 1), m.k))
+    for I, value in p.coords.items():
+        assert value == minor(m, I), I
+    assert p.is_zero() == (rank(m) < m.k)
+
+
+def test_pluecker_matches_minors_on_random_matrices():
+    # k = n included; awkward matrices bring zero, parallel and coloop
+    # columns and negative entries over denominators up to 10^9
+    rng = random.Random(25)
+    for k in range(1, 7):
+        for n in range(k, 13):
+            for m in (random_matrix(rng, k, n, -9, 9), awkward_matrix(rng, k, n)):
+                assert_pluecker_matches_minors(m)
+
+
+def test_pluecker_of_rank_deficient_matrices_is_zero():
+    rng = random.Random(26)
+    for k in range(2, 7):
+        for n in (k, k + 3, 12):
+            # the middle row is a combination of the others
+            rows = [[awkward_entry(rng) for _ in range(n)] for _ in range(k - 1)]
+            weights = [awkward_entry(rng) for _ in rows]
+            combo = [sum((w * r[j] for w, r in zip(weights, rows)), Q(0)) for j in range(n)]
+            rows.insert(k // 2, combo)
+            m = RationalMatrix.build(rows)
+            assert rank(m) < k
+            assert_pluecker_matches_minors(m)
+
+
+def test_pluecker_matches_minors_on_tri6():
+    g = fixtures.load("tri6")
+    a = matrix_from_pluecker(measure(g, random_weighting(g, random.Random(27))))
+    p = pluecker(a)
+    rng = random.Random(28)
+    for _ in range(500):
+        I = tuple(sorted(rng.sample(range(1, a.n + 1), a.k)))
+        assert p[I] == minor(a, I), I
+
+
 SMALL_FRACTIONS = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 3)])
 
 
@@ -592,3 +637,9 @@ def test_matrix_necklace_property(m):
     assert forward == necklace_from_perm(pi, "forward")
     assert reverse == necklace_from_perm(pi, "reverse")
     assert perm_from_necklace(forward) == pi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(exact_matrices())
+def test_pluecker_property(m):
+    assert_pluecker_matches_minors(m)

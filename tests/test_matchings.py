@@ -153,6 +153,23 @@ def test_face_exponents_max_matching_square4(square4):
     assert exps == {"f1": 1, "b2": 1, "b4": 1, "b1": -1, "b3": -1}
 
 
+def dense_face_exponents(data, matching):
+    """The exponents summed over the dense d_fe rows, column by column."""
+    columns = [j for j, e in enumerate(data.edge_order) if e in matching]
+    return {
+        fid: sum(data.d_fe[i][j] for j in columns) - (data.b[fid] - 1)
+        for i, fid in enumerate(data.face_order)
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+def test_face_exponents_match_dense_rows(name):
+    g = fixtures.load(name)
+    data = incidence_data(g)
+    for m in enumerate_matchings(g):
+        assert data.face_exponents(m) == dense_face_exponents(data, m)
+
+
 def test_swivel_directions(square4):
     m_min = extremal_matching(square4, "f1", "min")
     m_max = extremal_matching(square4, "f1", "max")

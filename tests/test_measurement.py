@@ -229,6 +229,21 @@ def test_monodromy_rejects_boundary_face(square4):
         monodromy(square4, {e: 1 for e in square4.edges}, "b1")
 
 
+def test_laurent_term_evaluate_matches_fraction_product(d4):
+    # face values of both signs, with exponents of both signs and zero
+    rng = random.Random(29)
+    values = {
+        f.id: Q(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50)) for f in d4.faces()
+    }
+    for J in combinations(range(1, 9), 4):
+        for term in twisted_pluecker_laurent(d4, J):
+            want = Q(1)
+            for fid, exp in term.exponents.items():
+                want *= values[fid] ** exp
+            assert term.evaluate(values) == want
+            assert term.evaluate({f: str(v) for f, v in values.items()}) == want
+
+
 def test_laurent_formula_square4(square4):
     rng = random.Random(25)
     z = random_weighting(square4, rng)
