@@ -9,7 +9,7 @@ Run with:  PYTHONPATH=src python3 demos/02_twist_and_diagram.py
 import random
 
 from positroids import fixtures
-from positroids.linalg import RationalMatrix, pluecker, twist
+from positroids.linalg import RationalMatrix, twist
 from positroids.matchings import extremal_matching
 from positroids.measurement import (
     face_pluecker,
@@ -34,7 +34,7 @@ rng = random.Random(0)
 z = random_weighting(g, rng)
 p = measure(g, z)
 a = matrix_from_pluecker(p)
-values = face_pluecker(g, pluecker(twist(a, "right")), "source")
+values = face_pluecker(g, twist(a, "right"), "source")
 
 print("\nface Pluckers of the right-twisted point vs minimal matchings:")
 for f in g.faces():

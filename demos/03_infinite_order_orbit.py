@@ -8,7 +8,7 @@ this positroid variety.
 Run with:  PYTHONPATH=src python3 demos/03_infinite_order_orbit.py
 """
 from positroids import fixtures
-from positroids.linalg import pluecker, twist
+from positroids.linalg import twist
 from positroids.measurement import face_pluecker, matrix_from_pluecker, measure
 
 g = fixtures.load("d4")
@@ -19,7 +19,7 @@ square = next(f for f, l in labels.items() if l == (4, 5, 6, 8))
 point = twist(matrix_from_pluecker(measure(g, {e: 1 for e in g.edges})), "right")
 print("step   center (2468)   square (4568)")
 for step in range(8):
-    values = face_pluecker(g, pluecker(point), "source")
+    values = face_pluecker(g, point, "source")
     print(f"{step:>4}   {str(values[center]):>13}   {str(values[square]):>13}")
     point = twist(point, "left")
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fixtures import chamber
-from .linalg import Q, RationalMatrix, as_fraction, matmul, pluecker, twist
-from .measurement import boundary_partial, face_pluecker, gauge_fix, matrix_from_pluecker
+from .linalg import Q, RationalMatrix, as_fraction, matmul, twist
+from .measurement import boundary_partial, face_pluecker, gauge_fix
 
 
 def elementary(n: int, i: int, t: Fraction) -> RationalMatrix:
@@ -54,9 +54,7 @@ def factorization_parameters(word, matrix: RationalMatrix):
     if matrix.k != wires or matrix.n != wires:
         raise ValueError(f"need a {wires} x {wires} matrix for this word")
     graph = chamber(word)
-    point = embed(matrix)
-    A = matrix_from_pluecker(pluecker(point))
-    face_values = face_pluecker(graph, pluecker(twist(A, "right")), "source")
+    face_values = face_pluecker(graph, twist(embed(matrix), "right"), "source")
     inverse, _ = boundary_partial(graph, face_values, "min")
     verticals = [f"v{pos}" for pos in range(len(word))]
     right_pendants = [graph.pendant_edge(i) for i in range(1, wires + 1)]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import fixtures
 from .core import BoundedAffinePermutation, length
-from .errors import PreconditionError
+from .errors import PreconditionError, json_shape
 from .linalg import RationalMatrix, as_fraction, double_twist_mu, twist
 from .matchings import enumerate_matchings, graph_positroid, matching_boundary
 from .measurement import measure, twisted_pluecker_laurent, verify_diagram
@@ -36,7 +36,7 @@ def load_matrix(path: str) -> RationalMatrix:
 
 
 def load_weights(path: str) -> dict:
-    payload = json.loads(Path(path).read_text())
+    payload = json_shape(json.loads(Path(path).read_text()), dict, "a weights file")
     return {e: as_fraction(v) for e, v in payload.items()}
 
 

@@ -20,7 +20,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .core import GrassmannNecklace, implied_window, necklace_from_perm, perm_from_necklace
-from .errors import PreconditionError
+from .errors import PreconditionError, json_shape
 
 Q = Fraction
 
@@ -71,7 +71,8 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, payload: dict) -> "RationalMatrix":
-        m = cls.build(payload["rows"])
+        rows = json_shape(json_shape(payload, dict, "a matrix")["rows"], list, "rows")
+        m = cls.build(json_shape(row, list, "a matrix row") for row in rows)
         if m.k != payload.get("k", m.k) or m.n != payload.get("n", m.n):
             raise ValueError("matrix shape disagrees with declared k, n")
         return m

@@ -3,7 +3,8 @@ monodromy coordinates, the Laurent expansion of twisted Pluckers, and the
 commutative-diagram verification harness.
 
 Edge weightings and face vectors are plain dicts of nonzero Fractions keyed
-by edge/face id.  All identities are checked by exact evaluation.
+by edge/face id; a point is a ``RationalMatrix``, and face maps read one
+maximal minor of it per face.  All identities are checked by exact evaluation.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .core import gale_min
 from .errors import PreconditionError
-from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, permutation_sign, pluecker, twist
+from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, permutation_sign, pluecker, twist
 from .matchings import (
     enumerate_matchings,
     extremal_matching,
@@ -56,7 +57,10 @@ def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
     """
     weights = check_weighting(graph, weights)
     if graph.is_reduced()[0]:
-        return _network_pluecker(graph, *boundary_measurement_matrix(graph, weights))
+        matrix, scale = boundary_measurement_matrix(graph, weights)
+        if not matrix.rows:  # k = 0: the one empty minor is 1
+            return PlueckerVector(graph.n, 0, {(): scale})
+        return pluecker(matrix).scaled(scale)
     coords = {I: Q(0) for I in combinations(range(1, graph.n + 1), graph.k)}
     matchings = enumerate_matchings(graph)
     if not matchings:
@@ -127,15 +131,6 @@ def boundary_measurement_matrix(
     return matrix, monomial(weights, m0)
 
 
-def _network_pluecker(
-    graph: PlabicGraph, matrix: RationalMatrix, scale: Fraction
-) -> PlueckerVector:
-    """scale times the maximal minors of a boundary measurement matrix."""
-    if not matrix.rows:  # k = 0: the one empty minor is 1
-        return PlueckerVector(graph.n, 0, {(): scale})
-    return pluecker(matrix).scaled(scale)
-
-
 def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
     """Scale each edge by the gauge values at its internal endpoints."""
     out = {}
@@ -178,12 +173,12 @@ def matrix_from_pluecker(p: PlueckerVector) -> RationalMatrix:
     return matrix
 
 
-def face_pluecker(graph: PlabicGraph, p: PlueckerVector, mode: str) -> dict:
-    """Face vector of Plucker coordinates at the source or target labels."""
-    labels = graph.face_labels(mode)
+def face_pluecker(graph: PlabicGraph, point: RationalMatrix, mode: str) -> dict:
+    """Face vector of a point's Plucker coordinates at the source or target
+    labels: one maximal minor of the matrix per face."""
     out = {}
-    for fid, label in labels.items():
-        value = p[label]
+    for fid, label in graph.face_labels(mode).items():
+        value = minor(point, label)
         if value == 0:
             raise PreconditionError(f"Plucker coordinate at face {fid} ({label}) vanishes")
         out[fid] = value
@@ -312,18 +307,10 @@ class LaurentTerm:
     exponents: dict  # face id -> int
 
     def evaluate(self, face_values: dict) -> Fraction:
-        """The monomial, with numerator and denominator multiplied out as
-        ints and reduced once, not once per face."""
-        num = den = 1
+        out = Q(1)
         for fid, exp in self.exponents.items():
-            if exp:
-                x = as_fraction(face_values[fid])
-                up, down = x.numerator, x.denominator
-                if exp < 0:
-                    up, down, exp = down, up, -exp
-                num *= up**exp
-                den *= down**exp
-        return Q(num, den)
+            out *= as_fraction(face_values[fid]) ** exp
+        return out
 
 
 def twisted_pluecker_laurent(graph: PlabicGraph, subset: Sequence[int]) -> list[LaurentTerm]:
@@ -354,17 +341,27 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     Per trial: the two squares of the diagram, inversion of the boundary
     measurement through the right square, and the Laurent expansion of three
     random twisted Pluckers.  Failures are reported, not raised.
+
+    The point is the path-sum matrix with its first row times the scale, so
+    its minors are the measurement; the face maps read minors of it and its
+    twists.  The weights of the inverse monomial map at its source-label
+    face values multiply over each matching to that matching's Laurent
+    term, so the term sum at J is their measurement at J, from path sums.
+    No matching is listed: the term list of ``twisted_pluecker_laurent``
+    serves the ``laurent`` subcommand and the tests.
     """
     graph.require_reduced()
+    if graph.k == 0:
+        raise PreconditionError("k = 0: the point has no matrix to twist")
     rng = random.Random(seed)
     report = []
     for trial in range(trials):
         z = random_weighting(graph, rng)
         network = boundary_measurement_matrix(graph, z)
-        p = _network_pluecker(graph, *network)
-        A = matrix_from_pluecker(p)
-        right = pluecker(twist(A, "right"))
-        left = pluecker(twist(A, "left"))
+        matrix, scale = network
+        A = RationalMatrix((tuple(scale * x for x in matrix.rows[0]), *matrix.rows[1:]))
+        right = twist(A, "right")
+        left = twist(A, "left")
 
         right_source = face_pluecker(graph, right, "source")
         want = monomial_map(graph, z, "min")
@@ -390,16 +387,13 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
         report.append(entry)
 
         # the weights are positive, so the support is the set of matching boundaries
-        boundaries = p.support()
-        source_values = face_pluecker(graph, p, "source")
+        boundaries = pluecker(A).support()
+        laurent, _ = boundary_partial(graph, face_pluecker(graph, A, "source"), "min")
+        B, t = boundary_measurement_matrix(graph, laurent)
         picks = [boundaries[rng.randrange(len(boundaries))] for _ in range(3)]
         for J in picks:
-            total = sum(
-                (term.evaluate(source_values) for term in twisted_pluecker_laurent(graph, J)),
-                Q(0),
-            )
             entry = {"check": f"laurent-{''.join(map(str, J))}", "trial": trial, "status": "pass"}
-            if total != left[J]:
+            if minor(left, J) != t * minor(B, J):
                 entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
             report.append(entry)
     return report

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import BoundedAffinePermutation
+from .errors import json_shape
 
 
 class GraphError(ValueError):
@@ -107,16 +108,18 @@ class PlabicGraph:
         """Internal vertex ids, edge ids and rotation entries must be non-empty
         strings and boundary vertices ints in [1, n] (not bools), since
         ``is_boundary`` tells them apart by type."""
+        payload = json_shape(payload, dict, "a graph")
         n = payload["n"]
         if type(n) is not int:
             raise ValueError(f"graph size n must be an integer, got {n!r}")
         colors = {}
-        for v in payload["internal"]:
+        for v in json_shape(payload["internal"], list, "internal"):
+            v = json_shape(v, dict, "an internal vertex")
             colors[_name(v["id"], "internal vertex id")] = v["color"]
         edges = {}
-        for e in payload["edges"]:
-            eid = _name(e["id"], "edge id")
-            u, w = e["ends"]
+        for e in json_shape(payload["edges"], list, "edges"):
+            eid = _name(json_shape(e, dict, "an edge")["id"], "edge id")
+            u, w = json_shape(e["ends"], list, f"the ends of edge {eid!r}")
             for x in (u, w):
                 if not (isinstance(x, str) and x) and not (type(x) is int and 1 <= x <= n):
                     raise ValueError(
@@ -124,10 +127,11 @@ class PlabicGraph:
                     )
             edges[eid] = (u, w)
         rotations = {}
-        for v, r in payload["rotation"].items():
-            if not isinstance(r, list):
-                raise ValueError(f"rotation at {v!r} must be a list, got {r!r}")
-            rotations[v] = [_name(e, f"rotation entry at {v!r}") for e in r]
+        for v, r in json_shape(payload["rotation"], dict, "rotation").items():
+            rotations[v] = [
+                _name(e, f"rotation entry at {v!r}")
+                for e in json_shape(r, list, f"rotation at {v!r}")
+            ]
         return cls(n, colors, edges, rotations)
 
     def to_json(self) -> dict:

@@ -105,7 +105,7 @@ def test_criterion_04_d4_sequence():
     expected = [(1, 1), (17, 2), (386, 9), (8857, 43), (203321, 206)]
     us, vs = [], []
     for step in range(11):
-        values = face_pluecker(D4, pluecker(point), "source")
+        values = face_pluecker(D4, point, "source")
         u = values[center]
         square_values = {values[f] for f in squares}
         assert len(square_values) == 1
@@ -144,9 +144,7 @@ def test_criterion_05_running_example_table():
     for _ in range(5):
         w = {x: Q(rng.randint(1, 100), rng.randint(1, 100)) for x in "abcdefghijklmnopqrstu"}
         p = measure(SCHUBERT36, w)
-        values = face_pluecker(
-            SCHUBERT36, pluecker(twist(matrix_from_pluecker(p), "right")), "source"
-        )
+        values = face_pluecker(SCHUBERT36, twist(matrix_from_pluecker(p), "right"), "source")
         for fid, label in src.items():
             expect = Q(1)
             for ch in RUNNING_EXAMPLE_TABLE[label]:
@@ -305,7 +303,7 @@ def test_criterion_14_laurent_formula():
     for _ in range(5):
         z = random_weighting(D4, rng)
         p = measure(D4, z)
-        source_values = face_pluecker(D4, p, "source")
+        source_values = face_pluecker(D4, matrix_from_pluecker(p), "source")
         left = pluecker(twist(matrix_from_pluecker(p), "left"))
         for J, terms in (((4, 5, 6, 8), terms_a), ((2, 4, 6, 8), terms_b)):
             total = sum((t.evaluate(source_values) for t in terms), Q(0))

@@ -77,7 +77,7 @@ def raw_inverse_parameters(word, matrix):
     reciprocals of the faces beside it), gauge-fixed to the same targets."""
     graph = fixtures.chamber(word)
     A = matrix_from_pluecker(pluecker(embed(matrix)))
-    x = face_pluecker(graph, pluecker(twist(A, "right")), "source")
+    x = face_pluecker(graph, twist(A, "right"), "source")
     raw = {}
     for e, (u, w) in graph.edges.items():
         adjacent = [f.id for f in graph.faces() if e in f.edges]

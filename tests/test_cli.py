@@ -102,6 +102,19 @@ def test_verify():
     assert out["all_passed"] is True
 
 
+@pytest.mark.parametrize("perm, k", [("1,2,3", 0), ("4,5,6", 3)])
+def test_verify_on_extreme_cells(tmp_path, perm, k):
+    # a k = 0 point has no matrix to twist; k = n is a single point
+    graph = tmp_path / "g.json"
+    graph.write_text(run_cli("synth", "--perm", perm))
+    if k == 0:
+        result = run_cli_result("verify", str(graph), expect=2)
+        assert result.stderr.startswith("precondition failed: k = 0")
+        assert result.stderr.count("\n") == 1, result.stderr
+    else:
+        assert json.loads(run_cli("verify", str(graph)))["all_passed"] is True
+
+
 def test_synth():
     out = json.loads(run_cli("synth", "--perm", "3,5,6,7,8,10"))
     assert out["n"] == 6
@@ -152,6 +165,12 @@ def square4_with(where, value):
         payload["edges"][0]["id"] = value
     elif where == "rotation-entry":
         payload["rotation"][first][0] = value
+    elif where == "ends":
+        payload["edges"][0]["ends"] = value
+    elif where == "internal-entry":
+        payload["internal"][0] = value
+    elif where in payload:  # a whole top-level field
+        payload[where] = value
     else:
         payload["rotation"][first] = value
     return json.dumps(payload)
@@ -165,7 +184,18 @@ MALFORMED = {
     "bool-vertex-id": (("verify",), square4_with_vertex_id(True)),
     "list-edge-id": (("inspect",), square4_with("edge", ["x"])),
     "list-in-rotation": (("inspect",), square4_with("rotation-entry", ["x"])),
-    "int-rotation": (("inspect",), square4_with("rotation", 5)),
+    "int-rotation": (("inspect",), square4_with("first-rotation", 5)),
+    "int-rotation-map": (("inspect",), square4_with("rotation", 5)),
+    "int-ends": (("inspect",), square4_with("ends", 5)),
+    "int-edges": (("inspect",), square4_with("edges", 7)),
+    "int-internal": (("inspect",), square4_with("internal", 3)),
+    "string-internal-entry": (("inspect",), square4_with("internal-entry", "v1")),
+    "list-graph": (("inspect",), json.dumps([4, []])),
+    "list-weights": (("measure", "square4"), json.dumps([1, 2])),
+    "int-rows": (("twist", "--right"), json.dumps({"rows": 5})),
+    "int-row": (("mu",), json.dumps({"rows": [5]})),
+    "list-matrix": (("twist", "--left"), json.dumps([[1, 0], [0, 1]])),
+    "list-matrix-mu": (("mu",), json.dumps([[1, 0], [0, 1]])),
 }
 
 
@@ -174,7 +204,9 @@ def test_malformed_input_exit_code(tmp_path, case):
     (command, *flags), text = MALFORMED[case]
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    result = run_cli_result(command, str(bad), *flags, expect=1)
+    # the bad file comes first, except a weights file, which follows its graph
+    args = [*flags, str(bad)] if command == "measure" else [str(bad), *flags]
+    result = run_cli_result(command, *args, expect=1)
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1, result.stderr
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import all_bounded_affine
-from positroids import fixtures, matchings, measurement
+from positroids import chamber, fixtures, linalg, matchings, measurement
 from positroids.core import gale_min
 from positroids.errors import PreconditionError
 from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
@@ -134,14 +134,14 @@ def test_matrix_from_pluecker_rejects_bad_vector():
 def test_face_pluecker_all_ones(square4):
     p = measure(square4, {e: 1 for e in square4.edges})
     tau = twist(matrix_from_pluecker(p), "right")
-    values = face_pluecker(square4, pluecker(tau), "source")
+    values = face_pluecker(square4, tau, "source")
     assert all(v == 1 for v in values.values())
 
 
 def test_face_pluecker_zero_reported(square4):
     a = RationalMatrix.build([[1, 0, 0, -1], [0, 1, 0, 1]])  # column 3 zero
     with pytest.raises(PreconditionError, match="face"):
-        face_pluecker(square4, pluecker(a), "source")
+        face_pluecker(square4, a, "source")
 
 
 def test_monomial_map(square4):
@@ -158,7 +158,7 @@ def test_monomial_map_matches_twisted_face_pluecker(schubert36):
     rng = random.Random(21)
     z = random_weighting(schubert36, rng)
     A = matrix_from_pluecker(measure(schubert36, z))
-    got = face_pluecker(schubert36, pluecker(twist(A, "right")), "source")
+    got = face_pluecker(schubert36, twist(A, "right"), "source")
     assert got == monomial_map(schubert36, z, "min")
 
 
@@ -248,7 +248,7 @@ def test_laurent_formula_square4(square4):
     rng = random.Random(25)
     z = random_weighting(square4, rng)
     p = measure(square4, z)
-    source_values = face_pluecker(square4, p, "source")
+    source_values = face_pluecker(square4, matrix_from_pluecker(p), "source")
     left = pluecker(twist(matrix_from_pluecker(p), "left"))
     for J in combinations(range(1, 5), 2):
         terms = twisted_pluecker_laurent(square4, J)
@@ -380,22 +380,106 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
         return {**weights, "bd": 2 * weights["bd"]}, note
 
     monkeypatch.setattr(measurement, "boundary_partial", broken)
-    report = verify_diagram(d4, seed=7, trials=2)
-    inversions = [r for r in report if r["check"] == "inversion"]
-    assert [r["status"] for r in inversions] == ["fail", "fail"]
-    assert all(set(r["witness"]) == set(d4.edges) for r in inversions)
-    assert all(r["status"] == "pass" for r in report if r["check"] != "inversion")
+    # no boundary seed 7 picks has a matching through bd; 3678 and 3468 at seed 0 do
+    for seed in (7, 0):
+        report = verify_diagram(d4, seed=seed, trials=2)
+        inversions = [r for r in report if r["check"] == "inversion"]
+        assert [r["status"] for r in inversions] == ["fail", "fail"]
+        assert all(set(r["witness"]) == set(d4.edges) for r in inversions)
+        # the Laurent weights come from the same inverse, so a laurent-J entry
+        # fails exactly when some matching with boundary J uses bd
+        laurent = [r for r in report if r["check"].startswith("laurent-")]
+        for r in laurent:
+            J = tuple(int(c) for c in r["check"].removeprefix("laurent-"))
+            uses_bd = any("bd" in m for m in enumerate_matchings(d4, J))
+            assert r["status"] == ("fail" if uses_bd else "pass"), (seed, r["check"])
+        assert any(r["status"] == "fail" for r in laurent) == (seed == 0)
+        squares = [r for r in report if r["check"].endswith("-square")]
+        assert len(squares) == 4 and all(r["status"] == "pass" for r in squares)
+
+
+def spy(monkeypatch, *names):
+    """Record the calls of each named function through every module that binds it."""
+    calls = {name: [] for name in names}
+    for module in (linalg, matchings, measurement, chamber):
+        for name in names:
+            original = getattr(module, name, None)
+            if original is not None:
+
+                def wrapper(*args, _original=original, _name=name, **kwargs):
+                    calls[_name].append(args)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def test_verify_diagram_never_lists_every_matching(monkeypatch):
-    calls = []
-
-    def spy(graph, boundary=None):
-        calls.append(boundary)
-        return enumerate_matchings(graph, boundary)
-
-    monkeypatch.setattr(measurement, "enumerate_matchings", spy)
-    monkeypatch.setattr(matchings, "enumerate_matchings", spy)
+    # nor any matching at all: verify reads one matrix and its twists by minors
+    calls = spy(
+        monkeypatch,
+        "enumerate_matchings",
+        "twisted_pluecker_laurent",
+        "matrix_from_pluecker",
+        "pluecker",
+    )
     report = verify_diagram(fixtures.load("d4"), seed=7, trials=2)
     assert all(r["status"] == "pass" for r in report)
-    assert calls and None not in calls
+    assert calls["enumerate_matchings"] == []
+    assert calls["twisted_pluecker_laurent"] == []
+    assert calls["matrix_from_pluecker"] == []
+    assert len(calls["pluecker"]) == 2  # one support list per trial
+
+
+def test_factorization_takes_no_pluecker_vector(monkeypatch):
+    calls = spy(monkeypatch, "pluecker", "matrix_from_pluecker")
+    matrix = RationalMatrix.build([[2, 1, 3], [0, 1, 5], [0, 0, 7]])
+    assert chamber.factorization_identity([2, 1, 2], matrix)
+    assert calls == {"pluecker": [], "matrix_from_pluecker": []}
+
+
+def scaled_network_matrix(graph, weights):
+    matrix, scale = boundary_measurement_matrix(graph, weights)
+    return RationalMatrix.build([[scale * x for x in matrix.rows[0]], *matrix.rows[1:]])
+
+
+def assert_verify_identities(graph, weights, subsets=None):
+    """The identities verify_diagram rests on, each against its oracle:
+    (a) the scaled network matrix is matrix_from_pluecker of the measurement;
+    (b) face_pluecker reads the full Plucker vector at the labels, for the
+    point and both twists; (c) at each J, t * Delta_J(B) for the path sums B
+    of the inverse monomial map's weights is the sum of the matching terms of
+    the Laurent formula and Delta_J of the left twist."""
+    p = measure(graph, weights)
+    A = scaled_network_matrix(graph, weights)
+    assert A == matrix_from_pluecker(p)
+    right, left = twist(A, "right"), twist(A, "left")
+    for point, mode in ((A, "source"), (right, "source"), (left, "target")):
+        coords = pluecker(point)
+        labels = graph.face_labels(mode)
+        assert face_pluecker(graph, point, mode) == {f: coords[l] for f, l in labels.items()}
+    x = face_pluecker(graph, A, "source")
+    B, t = boundary_measurement_matrix(graph, boundary_partial(graph, x, "min")[0])
+    for J in p.support() if subsets is None else subsets:
+        total = sum((term.evaluate(x) for term in twisted_pluecker_laurent(graph, J)), Q(0))
+        assert t * minor(B, J) == total == minor(left, J), J
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
+def test_verify_identities_on_fixtures(name):
+    g = fixtures.load(name)
+    rng = random.Random(f"identities-{name}")
+    for _ in range(1 if name == "tri6" else 2):
+        z = random_weighting(g, rng)
+        # tri6 has 9,842 bases: check seeded picks
+        subsets = rng.sample(measure(g, z).support(), 6) if name == "tri6" else None
+        assert_verify_identities(g, z, subsets)
+
+
+def test_verify_identities_on_small_cells():
+    rng = random.Random(37)
+    for n in range(1, 6):
+        for pi in all_bounded_affine(n):
+            if pi.k >= 1:  # k = 0 has no matrix to twist
+                g = synthesize(pi)
+                assert_verify_identities(g, random_weighting(g, rng))
