@@ -130,9 +130,10 @@ def cmd_synth(args) -> None:
 def cmd_move(args) -> None:
     g = load_graph(args.graph)
     z = load_weights(args.weights)
-    script = json.loads(Path(args.spec).read_text())
+    script = json_shape(json.loads(Path(args.spec).read_text()), list, "a move script")
     notes = []
     for step in script:
+        step = json_shape(step, dict, "a move step")
         move = Move(step["kind"], step.get("site"), step.get("params"))
         result = apply_move(g, z, move)
         g, z = result.graph, result.weights

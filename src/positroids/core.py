@@ -147,7 +147,13 @@ class BoundedAffinePermutation:
         raise AssertionError("unreachable: residues form a permutation")
 
     def inverse_window(self) -> tuple[int, ...]:
-        return tuple(self.inverse_value(b) for b in range(1, self.n + 1))
+        """(pi^{-1}(1), ..., pi^{-1}(n)), in one pass over the window."""
+        n = self.n
+        out = [0] * n
+        for a, v in enumerate(self.values, start=1):
+            b = (v - 1) % n + 1
+            out[b - 1] = a + (b - v)
+        return tuple(out)
 
     def fixed_color(self, a: int) -> str | None:
         """'black' for pi(a) = a, 'white' for pi(a) = a + n, else None."""

@@ -26,10 +26,11 @@ Q = Fraction
 
 
 def as_fraction(x) -> Fraction:
-    """Accept ints, Fractions and 'p/q' strings."""
+    """Accept ints, Fractions and 'p/q' strings; not bools, which JSON's
+    true and false would otherwise pass for 1 and 0."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

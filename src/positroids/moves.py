@@ -13,7 +13,8 @@ from typing import Optional
 
 from .core import BoundedAffinePermutation
 from .linalg import Q, as_fraction
-from .plabic import PlabicGraph
+from .errors import json_shape
+from .plabic import GraphError, PlabicGraph
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,10 @@ class MoveResult:
     note: Optional[dict] = None
 
 
-def _fresh(prefix: str, taken) -> str:
-    i = 0
+def _fresh(prefix: str, taken, start: int = 0) -> str:
+    """The first of prefix0, prefix1, ... not in taken; the scan begins at
+    index ``start``, below which every name must be taken."""
+    i = start
     while f"{prefix}{i}" in taken:
         i += 1
     return f"{prefix}{i}"
@@ -161,22 +164,9 @@ def remove_boundary_vertex(graph: PlabicGraph, vertex: str, weights: dict) -> Mo
 def add_boundary_vertex(graph: PlabicGraph, i: int, weights: dict) -> MoveResult:
     """Insert a degree-2 vertex of the opposite color in the middle of the
     pendant edge at boundary vertex i; the new outer edge has weight 1."""
-    pe = graph.pendant_edge(i)
-    u = graph.other_end(pe, i)
-    color = "black" if graph.colors[u] == "white" else "white"
-    taken = set(graph.colors)
-    v_new = _fresh("bd", taken)
-    e_new = _fresh("pe", set(graph.edges))
-    colors = dict(graph.colors)
-    colors[v_new] = color
-    edges = dict(graph.edges)
-    edges[pe] = (u, v_new)
-    edges[e_new] = (v_new, i)
-    rotations = {v: list(r) for v, r in graph.rotations.items()}
-    rotations[v_new] = [pe, e_new]
-    new_weights = dict(weights)
-    new_weights[e_new] = Q(1)
-    return MoveResult(PlabicGraph(graph.n, colors, edges, rotations), new_weights)
+    draft = _Draft(graph, weights)
+    draft.boundary_vertex(i)
+    return MoveResult(draft.build(), draft.weights)
 
 
 def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult:
@@ -249,7 +239,7 @@ def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult
 
     try:
         g2 = with_inner_rotations(False)
-    except Exception:
+    except GraphError:  # the other cyclic order at the inner vertices embeds
         g2 = with_inner_rotations(True)
     gauge_vertex = min(g2.colors)
     for e in g2.incident(gauge_vertex):
@@ -264,60 +254,186 @@ class Move:
     params: Optional[dict] = None
 
 
+# the type of each move kind's site: an internal vertex or face id, or a
+# boundary position
+_SITE_TYPE = {
+    "contract": str,
+    "expand": str,
+    "boundary-remove": str,
+    "urban-renewal": str,
+    "boundary-add": int,
+    "black-lollipop": int,
+    "white-lollipop": int,
+    "left-bridge": int,
+    "right-bridge": int,
+}
+
+
 def apply_move(graph: PlabicGraph, weights: dict, move: Move) -> MoveResult:
-    if move.kind == "contract":
-        return contract(graph, move.site, weights)
-    if move.kind == "expand":
-        return expand(graph, move.site, move.params["first_edge"], move.params["count"], weights)
-    if move.kind == "boundary-remove":
-        return remove_boundary_vertex(graph, move.site, weights)
-    if move.kind == "boundary-add":
-        return add_boundary_vertex(graph, move.site, weights)
-    if move.kind == "urban-renewal":
-        return urban_renewal(graph, move.site, weights)
-    if move.kind in ("black-lollipop", "white-lollipop"):
-        return add_lollipop(graph, move.site, move.kind.split("-")[0], weights)
-    if move.kind in ("left-bridge", "right-bridge"):
-        t = as_fraction((move.params or {}).get("t", 1))
-        return add_bridge(graph, move.site, move.kind.split("-")[0], t, weights)
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    """Apply one move; a move whose fields have the wrong shape (a step of a
+    ``move --spec`` script, say) raises ValueError before the graph is read."""
+    kind, site = move.kind, move.site
+    if not isinstance(kind, str):
+        raise ValueError(f"move kind must be a string, got {kind!r:.60}")
+    if kind not in _SITE_TYPE:
+        raise ValueError(f"unknown move kind {kind!r}")
+    if type(site) is not _SITE_TYPE[kind]:
+        what = "a boundary position (an integer)" if _SITE_TYPE[kind] is int else "an id (a string)"
+        raise ValueError(f"{kind} site must be {what}, got {site!r:.60}")
+    params = json_shape({} if move.params is None else move.params, dict, f"{kind} params")
+    if kind == "contract":
+        return contract(graph, site, weights)
+    if kind == "expand":
+        first_edge, count = params.get("first_edge"), params.get("count")
+        if not isinstance(first_edge, str) or type(count) is not int:
+            raise ValueError(
+                f"expand params need first_edge (an edge id) and count (an integer), got {move.params!r:.60}"
+            )
+        return expand(graph, site, first_edge, count, weights)
+    if kind == "boundary-remove":
+        return remove_boundary_vertex(graph, site, weights)
+    if kind == "boundary-add":
+        return add_boundary_vertex(graph, site, weights)
+    if kind == "urban-renewal":
+        return urban_renewal(graph, site, weights)
+    if kind in ("black-lollipop", "white-lollipop"):
+        return add_lollipop(graph, site, kind.split("-")[0], weights)
+    return add_bridge(graph, site, kind.split("-")[0], as_fraction(params.get("t", 1)), weights)
 
 
 # -- lollipops and bridges ------------------------------------------------
 
 
-def _shift_boundary(graph: PlabicGraph, i: int):
-    """Relabel boundary vertices to open position i (old j >= i becomes j+1)."""
+class _Draft:
+    """A graph under construction: plain color, edge and rotation dicts, the
+    pendant edge at each boundary vertex and the edge weights, changed in
+    place by the lollipop, boundary-vertex and bridge steps and validated
+    once, by ``build``.
 
-    def relabel(x):
-        if graph.is_boundary(x):
-            return x + 1 if x >= i else x
-        return x
+    Each step names its new vertices and edges with ``_fresh`` over the
+    current dicts, in the order the single moves do, so a script run on one
+    draft gives the same graph, ids included, as its moves applied one
+    validated graph at a time.  Each prefix names one dict, and the scan for
+    a prefix resumes at the index it last gave: names are only added between
+    removals, and a removal restarts every scan at 0.
+    """
 
-    edges = {e: (relabel(u), relabel(w)) for e, (u, w) in graph.edges.items()}
-    return edges
+    def __init__(self, graph: Optional[PlabicGraph] = None, weights: Optional[dict] = None):
+        self.n, self.colors, self.edges, self.rotations, self.pendant = 0, {}, {}, {}, {}
+        if graph is not None:
+            self.n = graph.n
+            self.colors = dict(graph.colors)
+            self.edges = dict(graph.edges)
+            self.rotations = {v: list(r) for v, r in graph.rotations.items()}
+            self.pendant = {i: graph.pendant_edge(i) for i in graph.boundary_vertices()}
+        self.weights = dict(weights or {})
+        self._scan_from = {}  # prefix -> index below which every name is taken
+
+    def fresh(self, prefix: str, taken: dict) -> str:
+        name = _fresh(prefix, taken, self._scan_from.get(prefix, 0))
+        self._scan_from[prefix] = int(name[len(prefix) :])
+        return name
+
+    def build(self) -> PlabicGraph:
+        return PlabicGraph(self.n, self.colors, self.edges, self.rotations)
+
+    def pendant_end(self, i: int):
+        """The pendant edge at boundary vertex i and its internal end."""
+        if i not in self.pendant:
+            raise ValueError(f"boundary vertex {i} has no edge")
+        pe = self.pendant[i]
+        u, w = self.edges[pe]
+        return pe, (w if u == i else u)
+
+    def lollipop(self, i: int, color: str):
+        """Open boundary position i (old j >= i becomes j+1) and hang a
+        lollipop of the given color there; returns its vertex and edge."""
+        if not 1 <= i <= self.n + 1:
+            raise ValueError(f"position {i} out of range")
+        if color not in ("white", "black"):
+            raise ValueError(f"bad color {color!r}")
+        for j in range(self.n, i - 1, -1):
+            pe = self.pendant.pop(j)
+            self.edges[pe] = tuple(j + 1 if x == j else x for x in self.edges[pe])
+            self.pendant[j + 1] = pe
+        self.n += 1
+        v = self.fresh("lp", self.colors)
+        e = self.fresh("lpe", self.edges)
+        self.colors[v] = color
+        self.edges[e] = (i, v)
+        self.rotations[v] = [e]
+        self.pendant[i] = e
+        self.weights[e] = Q(1)
+        return v, e
+
+    def boundary_vertex(self, i: int) -> None:
+        """Split the pendant edge at i by a vertex of the opposite color."""
+        pe, u = self.pendant_end(i)
+        color = "black" if self.colors[u] == "white" else "white"
+        v_new = self.fresh("bd", self.colors)
+        e_new = self.fresh("pe", self.edges)
+        self.colors[v_new] = color
+        self.edges[pe] = (u, v_new)
+        self.edges[e_new] = (v_new, i)
+        self.rotations[v_new] = [pe, e_new]
+        self.pendant[i] = e_new
+        self.weights[e_new] = Q(1)
+
+    def bridge(self, i: int, side: str, t: Fraction) -> str:
+        """Add a bridge of weight t between boundary vertices i and i+1,
+        without checking that it is legal; returns the bridge edge."""
+        j = i % self.n + 1
+        wanted = ((i, "black"), (j, "white")) if side == "left" else ((i, "white"), (j, "black"))
+        # a same-colored neighbor of degree > 1 gets an opposite-color buffer
+        # vertex (a boundary move); a same-colored lollipop is consumed outright,
+        # which is the contraction of the transient same-color edge
+        for pos, want in wanted:
+            _, u = self.pendant_end(pos)
+            if self.colors[u] == want and len(self.rotations[u]) > 1:
+                self.boundary_vertex(pos)
+        new_vertices = {}
+        for pos, want in wanted:
+            pe, u = self.pendant_end(pos)
+            v = self.fresh("br", self.colors)
+            if self.colors[u] == want and len(self.rotations[u]) == 1:
+                # consume the lollipop: the stub inherits the pendant's weight
+                self._scan_from.clear()
+                self.colors.pop(u)
+                self.rotations.pop(u)
+                self.colors[v] = want
+                e_new = self.fresh("bre", self.edges)
+                stub_weight = self.weights.pop(pe)
+                self.edges.pop(pe)
+                self.edges[e_new] = (v, pos)
+                self.weights[e_new] = stub_weight
+                new_vertices[pos] = (v, None, e_new)
+            else:
+                self.colors[v] = want
+                e_new = self.fresh("bre", self.edges)
+                self.edges[pe] = (u, v)
+                self.edges[e_new] = (v, pos)
+                self.weights[e_new] = Q(1)
+                new_vertices[pos] = (v, pe, e_new)
+            self.pendant[pos] = e_new
+        e_bridge = self.fresh("brg", self.edges)
+        v_i, pe_i, stub_i = new_vertices[i]
+        v_j, pe_j, stub_j = new_vertices[j]
+        self.edges[e_bridge] = (v_i, v_j)
+        self.weights[e_bridge] = t
+        # rotations: drawn with the disc above the boundary, i+1 lies to the left
+        # of i, so clockwise order at the vertex over i is (up, stub, bridge) and
+        # over i+1 it is (up, bridge, stub).
+        self.rotations[v_i] = ([pe_i] if pe_i else []) + [stub_i, e_bridge]
+        self.rotations[v_j] = ([pe_j] if pe_j else []) + [e_bridge, stub_j]
+        return e_bridge
 
 
 def add_lollipop(graph: PlabicGraph, i: int, color: str, weights: Optional[dict] = None):
     """Insert a lollipop of the given color at boundary position i."""
-    if not 1 <= i <= graph.n + 1:
-        raise ValueError(f"position {i} out of range")
-    if color not in ("white", "black"):
-        raise ValueError(f"bad color {color!r}")
-    edges = _shift_boundary(graph, i)
-    taken = set(graph.colors)
-    v = _fresh("lp", taken)
-    e = _fresh("lpe", set(edges))
-    colors = dict(graph.colors)
-    colors[v] = color
-    edges[e] = (i, v)
-    rotations = {x: list(r) for x, r in graph.rotations.items()}
-    rotations[v] = [e]
-    g2 = PlabicGraph(graph.n + 1, colors, edges, rotations)
-    new_weights = dict(weights) if weights is not None else None
-    if new_weights is not None:
-        new_weights[e] = Q(1)
-    return MoveResult(g2, new_weights, {"vertex": v, "edge": e})
+    draft = _Draft(graph, weights)
+    v, e = draft.lollipop(i, color)
+    new_weights = draft.weights if weights is not None else None
+    return MoveResult(draft.build(), new_weights, {"vertex": v, "edge": e})
 
 
 def add_bridge(
@@ -339,67 +455,17 @@ def add_bridge(
     if t == 0:
         raise ValueError("bridge weight must be nonzero")
     pi = graph.trip_permutation()
-    n = graph.n
-    j = i % n + 1
     if side == "left":
         if not pi.inverse_value(i) > pi.inverse_value(i + 1):
             raise ValueError(f"left bridge at {i} is illegal for this permutation")
-        color_i, color_j = "black", "white"
     elif side == "right":
         if not pi(i) > pi(i + 1):
             raise ValueError(f"right bridge at {i} is illegal for this permutation")
-        color_i, color_j = "white", "black"
     else:
         raise ValueError(f"bad side {side!r}")
-
-    g = graph
-    w = dict(weights) if weights is not None else {e: Q(1) for e in graph.edges}
-    # a same-colored neighbor of degree > 1 gets an opposite-color buffer
-    # vertex (a boundary move); a same-colored lollipop is consumed outright,
-    # which is the contraction of the transient same-color edge
-    for pos, want in ((i, color_i), (j, color_j)):
-        neighbor = g.other_end(g.pendant_edge(pos), pos)
-        if g.colors[neighbor] == want and len(g.incident(neighbor)) > 1:
-            res = add_boundary_vertex(g, pos, w)
-            g, w = res.graph, res.weights
-    colors = dict(g.colors)
-    edges = dict(g.edges)
-    rotations = {v: list(r) for v, r in g.rotations.items()}
-    new_vertices = {}
-    for pos, want in ((i, color_i), (j, color_j)):
-        pe = g.pendant_edge(pos)
-        u = g.other_end(pe, pos)
-        v = _fresh("br", set(colors))
-        if colors[u] == want and len(g.incident(u)) == 1:
-            # consume the lollipop: the stub inherits the pendant's weight
-            colors.pop(u)
-            rotations.pop(u)
-            colors[v] = want
-            e_new = _fresh("bre", set(edges))
-            stub_weight = w.pop(pe)
-            edges.pop(pe)
-            edges[e_new] = (v, pos)
-            w[e_new] = stub_weight
-            new_vertices[pos] = (v, None, e_new)
-        else:
-            colors[v] = want
-            e_new = _fresh("bre", set(edges))
-            edges[pe] = (u, v)
-            edges[e_new] = (v, pos)
-            w[e_new] = Q(1)
-            new_vertices[pos] = (v, pe, e_new)
-    e_bridge = _fresh("brg", set(edges))
-    v_i, pe_i, stub_i = new_vertices[i]
-    v_j, pe_j, stub_j = new_vertices[j]
-    edges[e_bridge] = (v_i, v_j)
-    w[e_bridge] = t
-    # rotations: drawn with the disc above the boundary, i+1 lies to the left
-    # of i, so clockwise order at the vertex over i is (up, stub, bridge) and
-    # over i+1 it is (up, bridge, stub).
-    rotations[v_i] = ([pe_i] if pe_i else []) + [stub_i, e_bridge]
-    rotations[v_j] = ([pe_j] if pe_j else []) + [e_bridge, stub_j]
-    g2 = PlabicGraph(g.n, colors, edges, rotations)
-    return MoveResult(g2, w, {"bridge_edge": e_bridge, "parameter": t})
+    draft = _Draft(graph, weights if weights is not None else {e: Q(1) for e in graph.edges})
+    e_bridge = draft.bridge(i, side, t)
+    return MoveResult(draft.build(), draft.weights, {"bridge_edge": e_bridge, "parameter": t})
 
 
 def synthesis_steps(pi: BoundedAffinePermutation) -> list[Move]:
@@ -407,34 +473,51 @@ def synthesis_steps(pi: BoundedAffinePermutation) -> list[Move]:
 
     Fixed points peel off as lollipops first; otherwise a left bridge goes in
     at the smallest i with pi^{-1}(i) < pi^{-1}(i+1), which is exactly where
-    the bridge is legal once fixed points are gone.  Replaying the steps with
-    ``apply_move`` onto the first lollipop reproduces ``synthesize(pi)``.
+    the bridge is legal once fixed points are gone.  The script is read off
+    from pi down to a single lollipop and returned in build order.  The tests
+    replay it with ``apply_move`` from the first lollipop, one validated graph
+    per step, as the oracle for ``synthesize(pi)``.
     """
-    n = pi.n
-    if n == 1:
-        color = "black" if pi.values[0] == 1 else "white"
-        return [Move(f"{color}-lollipop", 1)]
-    for i in range(1, n + 1):
-        if pi(i) == i or pi(i) == i + n:
-            color = "black" if pi(i) == i else "white"
-            return synthesis_steps(_strip_position(pi, i)) + [Move(f"{color}-lollipop", i)]
-    for i in range(1, n + 1):
-        if pi.inverse_value(i) < pi.inverse_value(i + 1):
-            smaller = BoundedAffinePermutation(_compose_s(pi, i, left=True))
-            return synthesis_steps(smaller) + [Move("left-bridge", i)]
-    raise ValueError("no legal lollipop or bridge step; invalid permutation?")
+    reversed_steps = []
+    while pi.n > 1:
+        n = pi.n
+        fixed = next((i for i, v in enumerate(pi.values, 1) if v in (i, i + n)), None)
+        if fixed is not None:
+            color = "black" if pi(fixed) == fixed else "white"
+            reversed_steps.append(Move(f"{color}-lollipop", fixed))
+            pi = _strip_position(pi, fixed)
+            continue
+        inv = pi.inverse_window()
+        inv += (inv[0] + n,)  # pi^{-1}(n+1)
+        i = next((i for i in range(1, n + 1) if inv[i - 1] < inv[i]), None)
+        if i is None:
+            raise ValueError("no legal lollipop or bridge step; invalid permutation?")
+        reversed_steps.append(Move("left-bridge", i))
+        pi = BoundedAffinePermutation(_compose_s(pi, i, left=True))
+    color = "black" if pi.values[0] == 1 else "white"
+    reversed_steps.append(Move(f"{color}-lollipop", 1))
+    return reversed_steps[::-1]
 
 
 def synthesize(pi: BoundedAffinePermutation) -> PlabicGraph:
-    """A reduced graph with trip permutation pi, by replaying its step script."""
-    steps = synthesis_steps(pi)
-    first = steps[0]
-    color = first.kind.split("-")[0]
-    graph = PlabicGraph(1, {"lp0": color}, {"lpe0": (1, "lp0")}, {"lp0": ["lpe0"]})
-    weights = {"lpe0": Q(1)}
-    for move in steps[1:]:
-        result = apply_move(graph, weights, move)
-        graph, weights = result.graph, result.weights
+    """A reduced graph with trip permutation pi.
+
+    Runs ``synthesis_steps(pi)`` on one ``_Draft``, starting from the empty
+    graph, and validates the result once.  The script makes every bridge
+    legal, so no step traces strands; one trace of the finished graph checks
+    the whole result instead.
+    """
+    draft = _Draft()
+    for move in synthesis_steps(pi):
+        side_or_color = move.kind.split("-")[0]
+        if move.kind == "left-bridge":
+            draft.bridge(move.site, side_or_color, Q(1))
+        else:
+            draft.lollipop(move.site, side_or_color)
+    graph = draft.build()
+    got = graph.trip_permutation().values
+    if got != pi.values:
+        raise AssertionError(f"synthesized graph has trip permutation {got}, not {pi.values}")
     return graph
 
 

@@ -20,6 +20,16 @@ def all_bounded_affine(n):
     return out
 
 
+def random_bounded_affine(n, rng):
+    """A random bounded affine permutation of [n] by the same rule: a shuffled
+    [n], with each fixed point lifted to a or to a + n by a coin."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return BoundedAffinePermutation(
+        tuple(rng.choice((a, a + n)) if r == a else r if r > a else r + n for a, r in enumerate(perm, 1))
+    )
+
+
 @pytest.fixture(scope="session")
 def square4():
     return fixtures.load("square4")

@@ -196,6 +196,12 @@ MALFORMED = {
     "int-row": (("mu",), json.dumps({"rows": [5]})),
     "list-matrix": (("twist", "--left"), json.dumps([[1, 0], [0, 1]])),
     "list-matrix-mu": (("mu",), json.dumps([[1, 0], [0, 1]])),
+    "bool-in-matrix": (("twist", "--right"), json.dumps({"rows": [[True, 1]]})),
+    "bool-in-matrix-mu": (("mu",), json.dumps({"rows": [[True, 1]]})),
+    "int-move-script": (("move", "square4"), "5"),
+    "int-move-step": (("move", "square4"), "[5]"),
+    "expand-without-params": (("move", "square4"), json.dumps([{"kind": "expand", "site": "v1"}])),
+    "string-bridge-site": (("move", "square4"), json.dumps([{"kind": "left-bridge", "site": "x"}])),
 }
 
 
@@ -204,8 +210,17 @@ def test_malformed_input_exit_code(tmp_path, case):
     (command, *flags), text = MALFORMED[case]
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    # the bad file comes first, except a weights file, which follows its graph
-    args = [*flags, str(bad)] if command == "measure" else [str(bad), *flags]
+    # the bad file comes first, except a weights file, which follows its graph,
+    # and a move script, which follows a graph and good weights
+    if command == "measure":
+        args = [*flags, str(bad)]
+    elif command == "move":
+        weights = tmp_path / "w.json"
+        graph = json.loads((FIXTURES / f"{flags[0]}.json").read_text())
+        weights.write_text(json.dumps({e["id"]: "1" for e in graph["edges"]}))
+        args = [*flags, str(weights), "--spec", str(bad)]
+    else:
+        args = [str(bad), *flags]
     result = run_cli_result(command, *args, expect=1)
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1, result.stderr

@@ -159,6 +159,12 @@ def test_reverse_necklace_matches_inverse_permutation():
             assert pi.inverse_value(a) == a
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_inverse_window_matches_inverse_value(n):
+    for pi in all_bounded_affine(n):
+        assert pi.inverse_window() == tuple(pi.inverse_value(b) for b in range(1, n + 1))
+
+
 def test_type_consistency():
     pi = BoundedAffinePermutation(SCHUBERT_PI)
     assert pi.k == 3

@@ -3,8 +3,10 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_bounded_affine
+from conftest import all_bounded_affine, random_bounded_affine
 from positroids.core import BoundedAffinePermutation, length
 from positroids.matchings import graph_positroid
 from positroids.measurement import measure, random_weighting, verify_diagram
@@ -17,9 +19,11 @@ from positroids.moves import (
     contract,
     expand,
     remove_boundary_vertex,
+    synthesis_steps,
     synthesize,
     urban_renewal,
 )
+from positroids.plabic import PlabicGraph
 
 
 def test_contract_expand_inverse(schubert36):
@@ -255,23 +259,82 @@ def test_synthesize_schubert_permutation():
     )
 
 
-def test_synthesis_trace_replays(square4):
-    from positroids.moves import synthesis_steps
-
-    pi = BoundedAffinePermutation((3, 5, 6, 7, 8, 10))
+def replay(pi):
+    """The oracle for ``synthesize``: the first lollipop, then ``apply_move``
+    over the rest of ``synthesis_steps(pi)``, one validated graph per step,
+    with every bridge's legality checked by tracing the strands."""
     steps = synthesis_steps(pi)
-    assert steps[0].kind.endswith("lollipop")
-    g = synthesize(pi)
-    # replay through the generic dispatcher, starting from the first lollipop
     color = steps[0].kind.split("-")[0]
-    from positroids.plabic import PlabicGraph
-
     graph = PlabicGraph(1, {"lp0": color}, {"lpe0": (1, "lp0")}, {"lp0": ["lpe0"]})
     weights = {"lpe0": Q(1)}
     for move in steps[1:]:
         res = apply_move(graph, weights, move)
         graph, weights = res.graph, res.weights
-    assert graph.to_json() == g.to_json()
+    return graph
+
+
+def top_cell(k, n):
+    return BoundedAffinePermutation(tuple(a + k for a in range(1, n + 1)))
+
+
+def test_synthesis_trace_replays():
+    pi = BoundedAffinePermutation((3, 5, 6, 7, 8, 10))
+    assert synthesis_steps(pi)[0].kind.endswith("lollipop")
+    assert synthesize(pi).to_json() == replay(pi).to_json()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_synthesize_matches_replay_exhaustive(n):
+    for pi in all_bounded_affine(n):
+        assert synthesize(pi).to_json() == replay(pi).to_json(), pi.values
+
+
+@pytest.mark.parametrize("k, n", [(3, 7), (4, 9), (5, 11), (6, 12), (7, 14), (8, 16), (9, 18)])
+def test_synthesize_matches_replay_top_cells(k, n):
+    pi = top_cell(k, n)
+    assert synthesize(pi).to_json() == replay(pi).to_json()
+
+
+def test_synthesize_matches_replay_random():
+    rng = random.Random(40)
+    for _ in range(40):
+        pi = random_bounded_affine(rng.randint(6, 12), rng)
+        assert synthesize(pi).to_json() == replay(pi).to_json(), pi.values
+
+
+def test_synthesize_builds_one_graph(monkeypatch):
+    built, traced = [], []
+    init, trip = PlabicGraph.__init__, PlabicGraph.trip_permutation
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    def counting_trip(self):
+        traced.append(self.n)
+        return trip(self)
+
+    monkeypatch.setattr(PlabicGraph, "__init__", counting_init)
+    monkeypatch.setattr(PlabicGraph, "trip_permutation", counting_trip)
+    synthesize(top_cell(4, 9))
+    assert built == [9]
+    assert traced == [9]
+
+
+def test_synthesize_rejects_a_wrong_result(monkeypatch):
+    # the one strand trace at the end is the check: a wrong graph is a bug (exit 3)
+    monkeypatch.setattr(PlabicGraph, "trip_permutation", lambda self: BoundedAffinePermutation((2, 3)))
+    with pytest.raises(AssertionError, match="trip permutation"):
+        synthesize(BoundedAffinePermutation((3, 4)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_synthesize_round_trip_property(n, rng):
+    pi = random_bounded_affine(n, rng)
+    g = synthesize(pi)
+    assert g.trip_permutation() == pi
+    assert len(g.faces()) == pi.k * (pi.n - pi.k) - length(pi) + 1
 
 
 def test_apply_move_bridge_kinds(square4):
