@@ -7,6 +7,7 @@ witness in the error message), 3 an internal invariant broke (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -208,7 +209,11 @@ def cmd_regen_golden(args) -> None:
     emit({"written": [str(p) for p in paths]})
 
 
-def main(argv=None) -> None:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    It holds no handler: ``main`` looks up ``cmd_<command>`` at call time."""
     parser = argparse.ArgumentParser(
         prog="positroids",
         description="plabic graphs, matchings, boundary measurement and the twist",
@@ -218,22 +223,18 @@ def main(argv=None) -> None:
     p = sub.add_parser("inspect", help="structure, permutation, labels, checks")
     p.add_argument("graph")
     p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("matchings", help="enumerate matchings")
     p.add_argument("graph")
     p.add_argument("--boundary", default=None)
-    p.set_defaults(func=cmd_matchings)
 
     p = sub.add_parser("measure", help="boundary measurement of a weighting")
     p.add_argument("graph")
     p.add_argument("weights")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("labels", help="face labels")
     p.add_argument("graph")
     p.add_argument("--mode", choices=["source", "target"], required=True)
-    p.set_defaults(func=cmd_labels)
 
     p = sub.add_parser("twist", help="left/right twist of a matrix")
     p.add_argument("matrix")
@@ -241,40 +242,38 @@ def main(argv=None) -> None:
     group.add_argument("--left", action="store_true")
     group.add_argument("--right", action="store_true")
     p.add_argument("--times", type=int, default=1)
-    p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("mu", help="the double-twist monomial map")
     p.add_argument("matrix")
-    p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("verify", help="main-theorem diagram checks")
     p.add_argument("graph")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=3)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="reduced graph from a bounded affine permutation")
     p.add_argument("--perm", required=True, help="window values pi(1),...,pi(n)")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("move", help="apply a move script")
     p.add_argument("graph")
     p.add_argument("weights")
     p.add_argument("--spec", required=True)
-    p.set_defaults(func=cmd_move)
 
     p = sub.add_parser("laurent", help="twisted Plucker as a matching sum")
     p.add_argument("graph")
     p.add_argument("--J", dest="subset", required=True)
-    p.set_defaults(func=cmd_laurent)
 
     p = sub.add_parser("regen-golden", help="rewrite the fixture JSON files")
     p.add_argument("--directory", default=None)
-    p.set_defaults(func=cmd_regen_golden)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> None:
+    args = _parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        handler(args)
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         sys.exit(3)

@@ -4,7 +4,9 @@ A graph is described by its boundary size n (vertices 1..n clockwise on the
 disc, each of degree one), internal vertices with a 2-coloring, edges with
 ids, and the clockwise cyclic order of edge ids around each internal vertex.
 Faces, strands, the trip permutation and downstream/upstream wedges are all
-derived from this combinatorial map.
+derived from this combinatorial map.  Face labels and wedges both come from
+one cut of the strand diagram: block a set of strand pieces and search the
+atoms (face cores and internal vertices) that the pieces separate.
 
 Strand traversal rule: a strand crossing an edge toward a white vertex leaves
 along the next incident edge clockwise; toward a black vertex it leaves along
@@ -69,7 +71,9 @@ class PlabicGraph:
     boundary vertex, the rotation successors) is built once, before
     validation.  Validation traces the faces once, together with their maps
     by id, by boundary arc and by edge; strands, labels and wedges are
-    computed on first use.  All of it is memoized on the graph.
+    computed on first use, the last two by one cut-and-search of the atom
+    graph, whose left-of-strand sets both label modes share.  All of it is
+    memoized on the graph.
     """
 
     def __init__(self, n, colors, edges, rotations):
@@ -409,13 +413,13 @@ class PlabicGraph:
             if doubled:
                 return False, f"strand {s.source}->{s.target} self-crosses at edge {doubled[0]!r}"
         strands = self.strands()
+        crossed = [[e for e, _ in s.path] for s in strands]
+        crossed_sets = [set(es) for es in crossed]
         for a in range(len(strands)):
             for b in range(a + 1, len(strands)):
                 sa, sb = strands[a], strands[b]
-                ea = [e for e, _ in sa.path]
-                eb = [e for e, _ in sb.path]
-                common_a = [e for e in ea if e in set(eb)]
-                common_b = [e for e in eb if e in set(ea)]
+                common_a = [e for e in crossed[a] if e in crossed_sets[b]]
+                common_b = [e for e in crossed[b] if e in crossed_sets[a]]
                 if common_a and common_a != list(reversed(common_b)):
                     return False, (
                         f"strands {sa.source}->{sa.target} and {sb.source}->{sb.target} "
@@ -428,58 +432,17 @@ class PlabicGraph:
         if not ok:
             raise GraphError([f"graph is not reduced: {witness}"])
 
-    # -- face labels -------------------------------------------------------
-
-    def _left_faces(self, strand: Strand) -> set[str]:
-        """Ids of faces lying to the left of the strand."""
-        crossed = {}
-        for e, _ in strand.path:
-            crossed[e] = crossed.get(e, 0) + 1
-        side = {}
-        # seed from the corners the strand cuts
-        for idx in range(len(strand.path) - 1):
-            e_in, v = strand.path[idx]
-            e_out, _ = strand.path[idx + 1]
-            if self.colors[v] == "white":
-                face = self.face_of_corner(v, e_in, e_out)
-                want = "L"  # white vertex sits right of the strand
-            else:
-                face = self.face_of_corner(v, e_out, e_in)
-                want = "R"
-            if side.setdefault(face.id, want) != want:
-                raise GraphError([f"strand {strand.source} gives face {face.id} two sides"])
-        if strand.source != (strand.target - 1) % self.n + 1:
-            # the boundary faces flanking the two terminal stubs
-            a = strand.source
-            t = (strand.target - 1) % self.n + 1
-            for fid, want in (
-                (self.boundary_face(a).id, "L"),
-                (self.boundary_face((a - 2) % self.n + 1).id, "R"),
-                (self.boundary_face((t - 2) % self.n + 1).id, "L"),
-                (self.boundary_face(t).id, "R"),
-            ):
-                if side.setdefault(fid, want) != want:
-                    raise GraphError(
-                        [f"strand {strand.source} endpoint seeds disagree at face {fid}"]
-                    )
-        # propagate across edges the strand does not cross
-        changed = True
-        while changed:
-            changed = False
-            for e, fids in self._faces().by_edge.items():
-                if e in crossed or len(fids) != 2:
-                    continue
-                fa, fb = sorted(fids)
-                if fa in side and fb not in side:
-                    side[fb] = side[fa]
-                    changed = True
-                elif fb in side and fa not in side:
-                    side[fa] = side[fb]
-                    changed = True
-        missing = [f.id for f in self.faces() if f.id not in side]
-        if missing:
-            raise GraphError([f"strand {strand.source}: faces {missing} got no side"])
-        return {fid for fid, s in side.items() if s == "L"}
+    # -- face labels and wedges --------------------------------------------
+    #
+    # Both are the part of the disc that a set of strand pieces cuts off in
+    # the strand diagram.  Between two crossings a strand cuts one corner: the
+    # piece separates the internal vertex from the face at that corner, and is
+    # keyed by the crossing (edge, toward_vertex) it follows.  The atoms it
+    # separates are ("v", vertex) and ("f", face id).  A boundary vertex needs
+    # no atom: its two end stubs fence it off from the two boundary faces
+    # beside it, as the corners next to them fence off the pendant edge's
+    # internal end, and no cut below opens the way through the boundary vertex
+    # while closing the way round that end.
 
     def face_labels(self, mode: str) -> dict:
         """Map face id -> sorted tuple of strand sources (or targets)."""
@@ -496,7 +459,28 @@ class PlabicGraph:
                 labels[fid].append(mark)
         return {fid: tuple(sorted(v)) for fid, v in labels.items()}
 
-    # -- wedges -----------------------------------------------------------
+    def _left_faces(self, strand: Strand) -> set[str]:
+        """Ids of faces lying to the left of the strand, once per strand."""
+        return self._memo(("left", strand.source), lambda: self._cut_left(strand))
+
+    def _cut_left(self, strand: Strand) -> set[str]:
+        """Cut along every piece of the strand and search from the internal
+        end of its first edge, which lies right of the strand if white and
+        left if black."""
+        (e0, v), (e1, _) = strand.path[:2]
+        side = self._region(set(strand.path), [("v", v)])
+        if ("f", self._corner_face(v, e0, e1).id) in side:
+            raise AssertionError(
+                f"strand {strand.source} does not cut its first corner face from vertex {v!r}"
+            )
+        white = self.colors[v] == "white"
+        return {f.id for f in self.faces() if (("f", f.id) in side) != white}
+
+    def _corner_face(self, v, e_in, e_out) -> Face:
+        """The face a strand cuts off at internal v, turning from e_in to e_out."""
+        if self.colors[v] == "white":
+            return self.face_of_corner(v, e_in, e_out)
+        return self.face_of_corner(v, e_out, e_in)
 
     def _passage_strand(self):
         """Map each crossing (edge, toward_vertex) to (strand index, position)."""
@@ -507,52 +491,27 @@ class PlabicGraph:
             },
         )
 
-    def _atom_graph(self):
-        """Region adjacency of the strand-diagram complement.
-
-        Atoms: one per face core, one per internal vertex, one per boundary
-        vertex.  Every strand piece (a corner cut, or a terminal/initial stub
-        along a pendant edge) separates exactly two atoms; the piece is the
-        adjacency key.  Maps each atom to its (neighbor atom, piece) pairs.
-        """
-        return self._memo("atoms", self._cut_atoms)
-
     def _cut_atoms(self):
-        pieces = {}  # piece key -> (atom, atom)
-        passages = self._passage_strand()
-        strands = self.strands()
-        for c, (si, pos) in passages.items():
-            e, v = c
-            if self.is_boundary(v):
-                # terminal stub of the strand ending at v
-                i = v
-                neighbor = self.other_end(e, i)
-                if self.colors[neighbor] == "white":
-                    facing = self.boundary_face((i - 2) % self.n + 1)  # arc (i-1, i)
-                else:
-                    facing = self.boundary_face(i)  # arc (i, i+1)
-                pieces[("stub-end", i)] = (("b", i), ("f", facing.id))
-            else:
-                nxt = strands[si].path[pos + 1]
-                e_out = nxt[0]
-                if self.colors[v] == "white":
-                    face = self.face_of_corner(v, e, e_out)
-                else:
-                    face = self.face_of_corner(v, e_out, e)
-                pieces[("corner", c)] = (("v", v), ("f", face.id))
-        for i in self.boundary_vertices():
-            e = self.pendant_edge(i)
-            neighbor = self.other_end(e, i)
-            if self.colors[neighbor] == "white":
-                facing = self.boundary_face(i)  # start stub guards arc (i, i+1)
-            else:
-                facing = self.boundary_face((i - 2) % self.n + 1)
-            pieces[("stub-start", i)] = (("b", i), ("f", facing.id))
+        """Map each atom to its (neighbor atom, piece) pairs."""
         neighbors = {}
-        for key, (x, y) in pieces.items():
-            neighbors.setdefault(x, []).append((y, key))
-            neighbors.setdefault(y, []).append((x, key))
+        for s in self.strands():
+            for (e, v), (e_out, _) in zip(s.path, s.path[1:]):
+                face = ("f", self._corner_face(v, e, e_out).id)
+                neighbors.setdefault(("v", v), []).append((face, (e, v)))
+                neighbors.setdefault(face, []).append((("v", v), (e, v)))
         return neighbors
+
+    def _region(self, blocked, seeds) -> set:
+        """The atoms reachable from the seeds without crossing a blocked piece."""
+        neighbors = self._memo("atoms", self._cut_atoms)
+        seen = set(seeds)
+        stack = list(seen)
+        while stack:
+            for y, piece in neighbors.get(stack.pop(), ()):
+                if piece not in blocked and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
 
     def _wedge(self, edge_id: str, upstream: bool):
         """Atoms cut off by the two half-strands leaving (or entering) an edge.
@@ -562,35 +521,12 @@ class PlabicGraph:
         """
         passages = self._passage_strand()
         strands = self.strands()
-        u, w = self.edges[edge_id]
         blocked = set()
-        for v_toward in (u, w):
-            si, pos = passages[(edge_id, v_toward)]
-            path = strands[si].path
-            if not upstream:
-                segment = path[pos:]
-                for c in segment:
-                    e, v = c
-                    if self.is_boundary(v):
-                        blocked.add(("stub-end", v))
-                    else:
-                        blocked.add(("corner", c))
-            else:
-                segment = path[: pos + 1]
-                blocked.add(("stub-start", strands[si].source))
-                for c in segment[:-1]:
-                    blocked.add(("corner", c))
-        neighbors = self._atom_graph()
-        interior = [x for x in (u, w) if not self.is_boundary(x)]
-        seeds = {("v", v) for v in interior}
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            x = stack.pop()
-            for y, piece in neighbors.get(x, ()):
-                if piece not in blocked and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        for toward in self.edges[edge_id]:
+            si, pos = passages[(edge_id, toward)]
+            s = strands[si]
+            blocked.update(s.path[:pos] if upstream else s.path[pos:])
+        seen = self._region(blocked, [("v", x) for x in self.edges[edge_id] if not self.is_boundary(x)])
         faces = {f.id for f in self.faces() if ("f", f.id) not in seen}
         vertices = {v for v in self.colors if ("v", v) not in seen}
         return faces, vertices

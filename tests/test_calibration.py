@@ -1,4 +1,4 @@
-"""Cross-checks over every synthesized graph with at most four boundary
+"""Cross-checks over every synthesized graph with at most five boundary
 vertices: strand labels against necklaces, the incidence identity, extremal
 boundaries, and the diagram itself on a sample.  These sweep lollipops,
 buffer vertices and stacked bridges through all the derived machinery.
@@ -15,7 +15,7 @@ from positroids.moves import synthesize
 
 
 def test_labels_and_wedges_on_all_small_graphs():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for pi in all_bounded_affine(n):
             g = synthesize(pi)
             fwd = necklace_from_perm(pi, "forward")

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from conftest import all_bounded_affine
-from positroids import fixtures
-from positroids.core import necklace_from_perm
+from conftest import all_bounded_affine, random_bounded_affine
+from positroids import cli, fixtures
+from positroids.core import BoundedAffinePermutation, necklace_from_perm
 from positroids.moves import synthesize
 from positroids.plabic import GraphError, PlabicGraph
 
@@ -137,7 +139,7 @@ def test_doubled_edge_not_reduced(square4):
     )
     ok, witness = g.is_reduced()
     assert not ok
-    assert witness
+    assert witness == "strands 1->4 and 2->3 pass common edges in the same order"
 
 
 def test_face_labels_square4(square4):
@@ -166,8 +168,8 @@ def test_face_labels_d4_match_figure(d4):
     assert internal == [(1, 2, 4, 8), (2, 3, 4, 6), (2, 4, 6, 8), (2, 6, 7, 8), (4, 5, 6, 8)]
 
 
-def test_boundary_labels_are_necklaces(square4, schubert36, d4, chamber_graph):
-    for g in (square4, schubert36, d4, chamber_graph):
+def test_boundary_labels_are_necklaces():
+    for g in map(fixtures.load, sorted(fixtures.BUILDERS)):
         pi = g.trip_permutation()
         fwd = necklace_from_perm(pi, "forward")
         rev = necklace_from_perm(pi, "reverse")
@@ -226,17 +228,107 @@ def test_downstream_wedges_square4(square4):
     assert square4.directly_downstream("leg1") == "b1"
 
 
-def test_wedge_boundary_edge_rule(square4, schubert36):
+def test_wedge_boundary_edge_rule():
     # f downstream of a white pendant at a iff f left of strand a;
     # for a black pendant, iff f right of the strand
-    for g in (square4, schubert36):
+    for g in map(fixtures.load, sorted(fixtures.BUILDERS)):
         all_faces = {f.id for f in g.faces()}
         for i in g.boundary_vertices():
             pe = g.pendant_edge(i)
             neighbor = g.other_end(pe, i)
-            left = g._left_faces(g.strand_from(i))
+            left = oracle_left_faces(g, g.strand_from(i))
             want = left if g.colors[neighbor] == "white" else all_faces - left
             assert g.downstream(pe)[0] == want
+
+
+# -- face labels against the seeded propagation they replaced --------------
+
+
+def oracle_left_faces(g, strand):
+    """Faces left of the strand: seed the faces at its corners and beside its
+    end stubs, then spread each side across every edge it does not cross."""
+    crossed = {e for e, _ in strand.path}
+    side = {}
+    for (e_in, v), (e_out, _) in zip(strand.path, strand.path[1:]):
+        if g.colors[v] == "white":  # a white vertex sits right of the strand
+            seed = (g.face_of_corner(v, e_in, e_out).id, "L")
+        else:
+            seed = (g.face_of_corner(v, e_out, e_in).id, "R")
+        assert side.setdefault(*seed) == seed[1]
+    a, t = strand.source, (strand.target - 1) % g.n + 1
+    if a != t:
+        for i, want in ((a, "L"), ((a - 2) % g.n + 1, "R"), ((t - 2) % g.n + 1, "L"), (t, "R")):
+            assert side.setdefault(g.boundary_face(i).id, want) == want
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            fids = g.edge_faces(e)
+            if e in crossed or len(fids) != 2:
+                continue
+            fa, fb = fids
+            for x, y in ((fa, fb), (fb, fa)):
+                if x in side and y not in side:
+                    side[y] = side[x]
+                    changed = True
+    assert len(side) == len(g.faces())
+    return {fid for fid, s in side.items() if s == "L"}
+
+
+def oracle_labels(g, mode):
+    labels = {f.id: [] for f in g.faces()}
+    for s in g.strands():
+        mark = s.source if mode == "source" else (s.target - 1) % g.n + 1
+        for fid in oracle_left_faces(g, s):
+            labels[fid].append(mark)
+    return {fid: tuple(sorted(v)) for fid, v in labels.items()}
+
+
+def oracle_graphs():
+    yield from map(fixtures.load, sorted(fixtures.BUILDERS))
+    for n in range(1, 6):
+        yield from map(synthesize, all_bounded_affine(n))
+    for k in range(3, 10):
+        yield synthesize(BoundedAffinePermutation(tuple(range(k + 1, 3 * k + 1))))
+    rng = random.Random(8)
+    for _ in range(40):
+        yield synthesize(random_bounded_affine(rng.randint(6, 12), rng))
+
+
+def test_labels_match_propagation_oracle():
+    count = 0
+    for g in oracle_graphs():
+        for mode in ("source", "target"):
+            assert g.face_labels(mode) == oracle_labels(g, mode), g.trip_permutation().values
+        count += 1
+    assert count == 6 + 414 + 7 + 40
+
+
+def test_both_label_modes_share_one_cut_per_strand(monkeypatch):
+    g = synthesize(BoundedAffinePermutation(tuple(range(4, 10))))
+    searches = []
+    region = PlabicGraph._region
+
+    def spy(self, blocked, seeds):
+        searches.append(seeds)
+        return region(self, blocked, seeds)
+
+    monkeypatch.setattr(PlabicGraph, "_region", spy)
+    g.face_labels("source")
+    g.face_labels("target")
+    assert len(searches) == g.n
+
+
+def test_cut_that_misses_its_corner_is_an_internal_error(monkeypatch, capsys):
+    region = PlabicGraph._region
+    # ignoring the blocked pieces leaves the strand's corner face on its vertex's side
+    monkeypatch.setattr(PlabicGraph, "_region", lambda self, blocked, seeds: region(self, set(), seeds))
+    with pytest.raises(AssertionError, match="strand 1 does not cut its first corner face"):
+        fixtures.load("square4").face_labels("source")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["labels", "square4", "--mode", "target"])
+    assert exit_info.value.code == 3
+    assert capsys.readouterr().err.startswith("internal error: strand 1 does not cut")
 
 
 # -- the graph index against the linear scans it replaced ------------------
