@@ -103,6 +103,8 @@ def cmd_labels(args) -> None:
 
 
 def cmd_twist(args) -> None:
+    if args.times < 0:
+        raise ValueError(f"--times must be at least 0, got {args.times}")
     m = load_matrix(args.matrix)
     direction = "left" if args.left else "right"
     for _ in range(args.times):

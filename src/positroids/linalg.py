@@ -5,9 +5,11 @@ any integer, reduced mod n.  Everything here is pure and value-semantic.
 
 Elimination runs in one fraction-free kernel, ``_Echelon``: a column's
 denominators are cleared once, then integer Bareiss elimination takes the
-columns one at a time.  ``det``, ``minor``, ``rank`` and the twist's solves
-use it, and ``matrix_necklace`` makes n incremental echelon scans, one per
-cyclic interval a, a+1, ..., a+n-1.  ``pluecker`` alone takes all maximal
+columns one at a time.  ``det``, ``minor`` and ``rank`` use it, and
+``_scan`` feeds it the cyclic interval a, a+1, ... (or a, a-1, ...) until it
+holds a basis.  ``matrix_necklace`` makes one scan from each column; each
+twist column is solved from its own necklace scan, and ``double_twist_mu``
+reads each necklace minor from one.  ``pluecker`` alone takes all maximal
 minors at once, by a Laplace expansion along the rows that shares each
 smaller minor between every column set containing it.
 """
@@ -85,6 +87,11 @@ def _integer_column(column: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in column], d
 
 
+def _integer_columns(matrix: RationalMatrix) -> tuple[tuple, tuple]:
+    """Columns 1..n cleared of denominators, and their scales."""
+    return tuple(zip(*(_integer_column(matrix.column(a)) for a in range(1, matrix.n + 1))))
+
+
 class _Echelon:
     """Bareiss elimination of k-row integer columns, fed one at a time.
 
@@ -117,13 +124,66 @@ class _Echelon:
         self.pivots.append((r, v, self.free))
         return True
 
+    def determinant(self) -> int:
+        """Determinant of the k columns fed, once all rows are pivots.
+
+        With the pivot rows r_1, ..., r_k in the order they were found, the
+        last Bareiss pivot is the determinant of the rows taken in that order.
+        """
+        if not self.pivots:
+            return 1
+        order = [r for r, _, _ in self.pivots]
+        return permutation_sign(order) * self.pivots[-1][1][order[-1]]
+
+    def dual(self, d: int) -> list[Fraction]:
+        """The tau with <tau, c_0> = d and <tau, c_t> = 0 for the other pivot
+        columns c_t, in the order fed, once all rows are pivots.
+
+        The pivots are a fraction-free LU factorization of the fed columns,
+        so the transposed system solves in integers by exact divisions.
+        With p_0 = 1 and p_{t+1} the pivot of c_t at its row r_t, forward
+        elimination of d e_0 gives b, and back substitution gives
+        X = p_k tau in pivot-row order.
+        """
+        pivots = self.pivots
+        k = len(pivots)
+        p = [1] + [col[r] for r, col, _ in pivots]
+        b = [d] + [0] * (k - 1)
+        for s in range(k - 1):
+            r = pivots[s][0]
+            for j in range(s + 1, k):
+                b[j] = (p[s + 1] * b[j] - pivots[j][1][r] * b[s]) // p[s]
+        D = p[k]
+        X = [0] * k
+        tau: list = [None] * k
+        for i in reversed(range(k)):
+            r, col, _ = pivots[i]
+            X[i] = (D * b[i] - sum(col[pivots[t][0]] * X[t] for t in range(i + 1, k))) // p[i + 1]
+            tau[r] = Q(X[i], D)
+        return tau
+
+
+def _scan(columns: Sequence[Sequence[int]], a: int, step: int) -> tuple[list[int], _Echelon]:
+    """Feed the integer columns a, a + step, a + 2 step, ... (0-based, mod n)
+    into an echelon until it holds a basis.
+
+    Returns the indices that became pivots, in scan order, and the echelon;
+    column a is pivot 0 whenever it is nonzero.  Forward (step 1) the basis
+    is the forward necklace element at a, backward (step -1) the reverse one.
+    """
+    n = len(columns)
+    echelon = _Echelon(len(columns[0]))
+    picked = []
+    for j in range(a, a + step * n, step):
+        if echelon.add(columns[j % n]):
+            picked.append(j % n)
+            if not echelon.free:
+                return picked, echelon
+    raise PreconditionError("matrix is rank deficient")
+
 
 def det(columns: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix given by its columns, by exact elimination.
-
-    With the pivot rows r_1, ..., r_k in the order they were found, the last
-    Bareiss pivot is the determinant of the rows taken in that order.
-    """
+    """Determinant of a square matrix given by its columns, by exact elimination."""
     k = len(columns)
     if any(len(c) != k for c in columns):
         raise ValueError("determinant of a non-square array")
@@ -134,9 +194,7 @@ def det(columns: Sequence[Sequence[Fraction]]) -> Fraction:
         if not echelon.add(ints):
             return Q(0)
         scale *= d
-    order = [r for r, _, _ in echelon.pivots]
-    last = echelon.pivots[-1][1][order[-1]] if k else 1
-    return Q(permutation_sign(order) * last, scale)
+    return Q(echelon.determinant(), scale)
 
 
 def minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
@@ -239,7 +297,7 @@ def pluecker(matrix: RationalMatrix) -> PlueckerVector:
     every S that contains its columns.
     """
     n, k = matrix.n, matrix.k
-    columns, scales = zip(*(_integer_column(matrix.column(a)) for a in range(1, n + 1)))
+    columns, scales = _integer_columns(matrix)
     minors = {(): 1}
     for r in range(k):
         row = [c[r] for c in columns]
@@ -258,6 +316,13 @@ def pluecker(matrix: RationalMatrix) -> PlueckerVector:
     return PlueckerVector(n, k, coords)
 
 
+def _forward_scans(columns: Sequence[Sequence[int]]):
+    """The forward scan from every column, and the forward necklace."""
+    scans = [_scan(columns, a, 1) for a in range(len(columns))]
+    elements = tuple(tuple(sorted(j + 1 for j in picked)) for picked, _ in scans)
+    return scans, GrassmannNecklace(elements, len(columns), "forward")
+
+
 def matrix_necklace(matrix: RationalMatrix):
     """(pi, forward necklace, reverse necklace) of a rank-k matrix.
 
@@ -267,73 +332,30 @@ def matrix_necklace(matrix: RationalMatrix):
     the span of the others pi(a) = a + n); it and the reverse necklace are
     read off the forward necklace (Knutson-Lam-Speyer).
     """
-    n, k = matrix.n, matrix.k
-    columns = [_integer_column(matrix.column(a))[0] for a in range(1, n + 1)]
-    elements = []
-    for a in range(n):
-        echelon = _Echelon(k)
-        picked = []
-        for j in range(a, a + n):
-            if not echelon.free:
-                break
-            if echelon.add(columns[j % n]):
-                picked.append(j % n + 1)
-        if echelon.free:
-            raise PreconditionError("matrix is rank deficient")
-        elements.append(tuple(sorted(picked)))
-    forward = GrassmannNecklace(tuple(elements), n, "forward")
+    _, forward = _forward_scans(_integer_columns(matrix)[0])
     pi = perm_from_necklace(forward)
     return pi, forward, necklace_from_perm(pi, "reverse")
-
-
-def _solve(columns: list, rhs: list) -> list:
-    """Solve the square system (columns as matrix columns) x = rhs exactly.
-
-    The columns and rhs are scaled to integers (x_j picks up d_j / d_rhs).
-    With U_u column u as reduced when it became a pivot, the reduced system's
-    pivot row r_t reads sum_{u >= t} U_u[r_t] y_u = b[r_t].
-    """
-    k = len(rhs)
-    echelon = _Echelon(k)
-    scales = []
-    for c in columns:
-        ints, d = _integer_column(c)
-        if not echelon.add(ints):
-            raise ValueError("singular twist system")
-        scales.append(d)
-    ints, d_rhs = _integer_column(rhs)
-    b = echelon.reduce(ints)
-    y: list = [None] * k
-    for t in reversed(range(k)):
-        r, col, _ = echelon.pivots[t]
-        s = b[r] - sum(echelon.pivots[u][1][r] * y[u] for u in range(t + 1, k))
-        y[t] = Q(s) / col[r]
-    return [y[j] * Q(scales[j], d_rhs) for j in range(k)]
 
 
 def twist(matrix: RationalMatrix, direction: str) -> RationalMatrix:
     """Right or left twist: column a is dual to the necklace basis at a.
 
-    For the right twist the defining relations pair column a against the
-    forward necklace element I_a; the left twist uses the reverse necklace.
+    For the right twist the defining relations <tau_a, A_b> = delta_ab pair
+    column a against the forward necklace element I_a, the basis of a scan
+    forward from a; the left twist scans backward, for the reverse necklace.
+    Column a is that scan's pivot 0, so tau_a is read from its echelon.
     Zero columns twist to zero columns.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"bad twist direction {direction!r}")
-    n, k = matrix.n, matrix.k
-    _, forward, reverse = matrix_necklace(matrix)
-    neck = forward if direction == "right" else reverse
-    new_columns = []
-    for a in range(1, n + 1):
-        col = matrix.column(a)
-        if all(x == 0 for x in col):
-            new_columns.append([Q(0)] * k)
-            continue
-        basis = neck.element(a)
-        rows = [matrix.column(b) for b in basis]
-        rhs = [Q(1) if b == a else Q(0) for b in basis]
-        # <tau_a, A_b> = delta_{ab} for b in the necklace element at a
-        new_columns.append(_solve(list(zip(*rows)), rhs))
+    step = 1 if direction == "right" else -1
+    columns, scales = _integer_columns(matrix)
+    if not any(map(any, columns)):
+        raise PreconditionError("matrix is rank deficient")
+    new_columns = [
+        _scan(columns, a, step)[1].dual(scales[a]) if any(c) else [Q(0)] * matrix.k
+        for a, c in enumerate(columns)
+    ]
     return RationalMatrix.build(list(zip(*new_columns)))
 
 
@@ -344,19 +366,21 @@ def double_twist_mu(matrix: RationalMatrix) -> RationalMatrix:
     sign exponent counts the alignment pairs at i (over all integer lifts)
     plus (k-1) when the window value pi(i) stays inside [1, n].  Plucker
     coordinates of mu(A) and of the double right twist agree on all face
-    source-labels.
+    source-labels.  Each Delta_{I_i} is read from the forward scan at i: its
+    basis columns in scan order have the echelon's determinant over the
+    product of their scales, and sorting them gives the sign.
     """
     n, k = matrix.n, matrix.k
-    pi, forward, _ = matrix_necklace(matrix)
-    neck_minors = {}
-    for a in range(1, n + 2):
-        I = forward.element(a)
-        neck_minors[a] = minor(matrix, I)
-        if neck_minors[a] == 0:
-            raise PreconditionError(f"necklace minor at position {(a - 1) % n + 1} vanishes")
+    columns, scales = _integer_columns(matrix)
+    scans, forward = _forward_scans(columns)
+    pi = perm_from_necklace(forward)
+    neck_minors = [
+        Q(permutation_sign(picked) * echelon.determinant(), prod(scales[j] for j in picked))
+        for picked, echelon in scans
+    ]
     new_columns = []
     for i in range(1, n + 1):
-        ratio = neck_minors[i] / neck_minors[i + 1]
+        ratio = neck_minors[i - 1] / neck_minors[i % n]
         exponent = len(implied_window(pi, i)) + (k - 1) * (1 if pi(i) <= n else 0)
         sign = Q(-1) ** (exponent % 2)
         col = matrix.column(pi(i))

@@ -350,6 +350,8 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     No matching is listed: the term list of ``twisted_pluecker_laurent``
     serves the ``laurent`` subcommand and the tests.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     graph.require_reduced()
     if graph.k == 0:
         raise PreconditionError("k = 0: the point has no matrix to twist")

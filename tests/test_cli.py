@@ -85,6 +85,8 @@ def test_twist_chain(tmp_path):
         ["0", "1", "1", "-1", "0"],
         ["1", "-1", "0", "1", "1"],
     ]
+    out = json.loads(run_cli("twist", str(mpath), "--left", "--times", "0"))
+    assert out["rows"] == m["rows"]
 
 
 def test_mu(tmp_path):
@@ -202,6 +204,9 @@ MALFORMED = {
     "int-move-step": (("move", "square4"), "[5]"),
     "expand-without-params": (("move", "square4"), json.dumps([{"kind": "expand", "site": "v1"}])),
     "string-bridge-site": (("move", "square4"), json.dumps([{"kind": "left-bridge", "site": "x"}])),
+    "zero-trials": (("verify", "--trials", "0"), (FIXTURES / "square4.json").read_text()),
+    "negative-trials": (("verify", "--trials", "-1"), (FIXTURES / "square4.json").read_text()),
+    "negative-times": (("twist", "--right", "--times", "-3"), json.dumps({"rows": [[1, 0], [0, 1]]})),
 }
 
 

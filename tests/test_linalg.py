@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from positroids import fixtures
 from positroids.core import necklace_from_perm, perm_from_necklace
 from positroids.errors import PreconditionError
+from positroids import linalg
+from positroids.core import implied_window
 from positroids.linalg import (
     RationalMatrix,
+    _Echelon,
+    _integer_column,
     det,
     double_twist_mu,
     matrix_necklace,
@@ -569,6 +573,134 @@ def test_twist_solves_its_defining_relations():
                     for b in neck.element(a):
                         dot = sum(x * y for x, y in zip(tau.column(a), m.column(b)))
                         assert dot == (1 if b == a else 0)
+
+
+# -- oracles: each twist column by a fresh elimination of its necklace basis,
+# and mu from one ``minor`` per necklace element --
+
+
+def oracle_solve(columns, rhs):
+    """Solve the square system (columns as matrix columns) x = rhs exactly.
+
+    The columns and rhs are scaled to integers (x_j picks up d_j / d_rhs).
+    With U_u column u as reduced when it became a pivot, the reduced system's
+    pivot row r_t reads sum_{u >= t} U_u[r_t] y_u = b[r_t].
+    """
+    k = len(rhs)
+    echelon = _Echelon(k)
+    scales = []
+    for c in columns:
+        ints, d = _integer_column(c)
+        assert echelon.add(ints), "singular twist system"
+        scales.append(d)
+    ints, d_rhs = _integer_column(rhs)
+    b = echelon.reduce(ints)
+    y = [None] * k
+    for t in reversed(range(k)):
+        r, col, _ = echelon.pivots[t]
+        s = b[r] - sum(echelon.pivots[u][1][r] * y[u] for u in range(t + 1, k))
+        y[t] = Q(s) / col[r]
+    return [y[j] * Q(scales[j], d_rhs) for j in range(k)]
+
+
+def oracle_twist(matrix, direction):
+    n, k = matrix.n, matrix.k
+    _, forward, reverse = matrix_necklace(matrix)
+    neck = forward if direction == "right" else reverse
+    new_columns = []
+    for a in range(1, n + 1):
+        if all(x == 0 for x in matrix.column(a)):
+            new_columns.append([Q(0)] * k)
+            continue
+        basis = neck.element(a)
+        rows = [matrix.column(b) for b in basis]
+        rhs = [Q(1) if b == a else Q(0) for b in basis]
+        new_columns.append(oracle_solve(list(zip(*rows)), rhs))
+    return RationalMatrix.build(list(zip(*new_columns)))
+
+
+def oracle_double_twist_mu(matrix):
+    n, k = matrix.n, matrix.k
+    pi, forward, _ = matrix_necklace(matrix)
+    neck_minors = {a: minor(matrix, forward.element(a)) for a in range(1, n + 2)}
+    new_columns = []
+    for i in range(1, n + 1):
+        ratio = neck_minors[i] / neck_minors[i + 1]
+        exponent = len(implied_window(pi, i)) + (k - 1) * (1 if pi(i) <= n else 0)
+        sign = Q(-1) ** (exponent % 2)
+        new_columns.append([sign * ratio * x for x in matrix.column(pi(i))])
+    return RationalMatrix.build(list(zip(*new_columns)))
+
+
+def assert_twists_match_oracles(m):
+    for direction in ("right", "left"):
+        assert twist(m, direction) == oracle_twist(m, direction), direction
+    assert double_twist_mu(m) == oracle_double_twist_mu(m)
+
+
+def test_twists_match_oracles_on_random_matrices():
+    # awkward matrices bring zero, parallel and coloop columns
+    rng = random.Random(30)
+    checked = 0
+    for k in range(1, 7):
+        for n in range(k, 13):
+            for m in (random_matrix(rng, k, n, -9, 9), awkward_matrix(rng, k, n)):
+                if rank(m) == k:
+                    assert_twists_match_oracles(m)
+                    checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
+def test_twists_match_oracles_on_measured_fixtures(name):
+    g = fixtures.load(name)
+    assert_twists_match_oracles(matrix_from_pluecker(measure(g, random_weighting(g, random.Random(31)))))
+
+
+def test_twists_match_oracle_on_d4_orbit(d4):
+    point = matrix_from_pluecker(measure(d4, {e: 1 for e in d4.edges}))
+    m = twist(point, "right")
+    for _ in range(21):
+        for direction in ("right", "left"):
+            assert twist(m, direction) == oracle_twist(m, direction)
+        m = twist(m, "left")
+
+
+def test_twist_scans_once_per_nonzero_column(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the twist takes no separate minors")
+
+    scans = []
+
+    def counting_scan(columns, a, step):
+        scans.append((a, step))
+        return scan(columns, a, step)
+
+    scan = linalg._scan
+    monkeypatch.setattr(linalg, "_scan", counting_scan)
+    monkeypatch.setattr(linalg, "det", forbidden)
+    monkeypatch.setattr(linalg, "minor", forbidden)
+    m = RationalMatrix.build([[1, 0, 2, 0, 1], [0, 0, 1, 3, -1]])
+    for direction, step in (("right", 1), ("left", -1)):
+        scans.clear()
+        twist(m, direction)
+        assert scans == [(a, step) for a in (0, 2, 3, 4)]
+
+
+def test_twists_and_mu_refuse_rank_deficient_matrices():
+    rng = random.Random(32)
+    deficient = [RationalMatrix.build([[0] * n] * k) for k, n in ((1, 1), (2, 3), (3, 6))]
+    for k in range(2, 6):
+        rows = [[awkward_entry(rng) for _ in range(k + 2)] for _ in range(k - 1)]
+        rows.insert(rng.randrange(k), [2 * x for x in rows[0]])
+        deficient.append(RationalMatrix.build(rows))
+    for m in deficient:
+        assert rank(m) < m.k
+        for direction in ("right", "left"):
+            with pytest.raises(PreconditionError):
+                twist(m, direction)
+        with pytest.raises(PreconditionError):
+            double_twist_mu(m)
 
 
 def assert_pluecker_matches_minors(m):
