@@ -41,8 +41,16 @@ def load_weights(path: str) -> dict:
     return {e: as_fraction(v) for e, v in payload.items()}
 
 
-def parse_subset(text: str) -> tuple:
-    return tuple(sorted(int(x) for x in text.split(",") if x.strip()))
+def parse_subset(graph: PlabicGraph, text: str) -> tuple:
+    """The sorted subset that the text lists, which must be a k-subset of [n]."""
+    subset = tuple(sorted(int(x) for x in text.split(",") if x.strip()))
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"subset {text!r} repeats an element")
+    if any(not 1 <= i <= graph.n for i in subset):
+        raise ValueError(f"subset {text!r} leaves [1, {graph.n}]")
+    if len(subset) != graph.k:
+        raise ValueError(f"subset {text!r} has {len(subset)} elements, not k = {graph.k}")
+    return subset
 
 
 def emit(payload) -> None:
@@ -75,7 +83,7 @@ def to_dot(g: PlabicGraph) -> str:
 
 def cmd_matchings(args) -> None:
     g = load_graph(args.graph)
-    boundary = parse_subset(args.boundary) if args.boundary else None
+    boundary = parse_subset(g, args.boundary) if args.boundary else None
     ms = enumerate_matchings(g, boundary)
     emit(
         {
@@ -154,7 +162,7 @@ def cmd_move(args) -> None:
 
 def cmd_laurent(args) -> None:
     g = load_graph(args.graph)
-    J = parse_subset(args.subset)
+    J = parse_subset(g, args.subset)
     terms = twisted_pluecker_laurent(g, J)
     emit(
         {

@@ -5,7 +5,8 @@ any integer, reduced mod n.  Everything here is pure and value-semantic.
 
 Elimination runs in one fraction-free kernel, ``_Echelon``: a column's
 denominators are cleared once, then integer Bareiss elimination takes the
-columns one at a time.  ``det``, ``minor`` and ``rank`` use it, and
+columns one at a time.  ``det``, ``minor``, ``minors`` and ``rank`` use it;
+``minors`` clears each column once for many minors of one matrix, and
 ``_scan`` feeds it the cyclic interval a, a+1, ... (or a, a-1, ...) until it
 holds a basis.  ``matrix_necklace`` makes one scan from each column; each
 twist column is solved from its own necklace scan, and ``double_twist_mu``
@@ -182,19 +183,30 @@ def _scan(columns: Sequence[Sequence[int]], a: int, step: int) -> tuple[list[int
     raise PreconditionError("matrix is rank deficient")
 
 
+def _determinant(columns: Sequence[Sequence[int]], scales: Sequence[int]) -> Fraction:
+    """Determinant of k integer columns of length k, over the product of
+    their scales: the determinant of the rational columns they clear."""
+    echelon = _Echelon(len(columns))
+    for c in columns:
+        if not echelon.add(c):
+            return Q(0)
+    return Q(echelon.determinant(), prod(scales))
+
+
 def det(columns: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square matrix given by its columns, by exact elimination."""
     k = len(columns)
     if any(len(c) != k for c in columns):
         raise ValueError("determinant of a non-square array")
-    echelon = _Echelon(k)
-    scale = 1
-    for c in columns:
-        ints, d = _integer_column(c)
-        if not echelon.add(ints):
-            return Q(0)
-        scale *= d
-    return Q(echelon.determinant(), scale)
+    cleared = [_integer_column(c) for c in columns]
+    return _determinant([c for c, _ in cleared], [d for _, d in cleared])
+
+
+def _check_indices(matrix: RationalMatrix, indices: Sequence[int]) -> None:
+    if len(indices) != matrix.k:
+        raise ValueError(f"need {matrix.k} column indices, got {len(indices)}")
+    if any(x >= y for x, y in zip(indices, indices[1:])):
+        raise ValueError("column indices must be strictly increasing")
 
 
 def minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
@@ -202,11 +214,20 @@ def minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
 
     The indices must be strictly increasing as integers but may leave [1, n].
     """
-    if len(indices) != matrix.k:
-        raise ValueError(f"need {matrix.k} column indices, got {len(indices)}")
-    if any(x >= y for x, y in zip(indices, indices[1:])):
-        raise ValueError("column indices must be strictly increasing")
+    _check_indices(matrix, indices)
     return det([matrix.column(a) for a in indices])
+
+
+def minors(matrix: RationalMatrix, subsets: Iterable[Sequence[int]]) -> list[Fraction]:
+    """``minor`` at each index list, with every column's denominators
+    cleared once for all of them."""
+    columns, scales = _integer_columns(matrix)
+    out = []
+    for indices in subsets:
+        _check_indices(matrix, indices)
+        js = [(a - 1) % matrix.n for a in indices]
+        out.append(_determinant([columns[j] for j in js], [scales[j] for j in js]))
+    return out
 
 
 def signed_minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:

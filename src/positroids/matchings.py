@@ -230,22 +230,36 @@ def _build_incidence_data(graph: PlabicGraph) -> IncidenceData:
 
 
 def extremal_matching(graph: PlabicGraph, face_id: str, direction: str) -> frozenset:
-    """Minimal (downstream wedges) or maximal (upstream) matching at a face."""
+    """Minimal (downstream wedges) or maximal (upstream) matching at a face.
+
+    The matchings of every face in one direction are built together, from
+    one pass over the edges' wedges, and memoized on the graph.
+    """
     graph.require_reduced()
-    if direction == "min":
-        edges = {e for e in graph.edges if face_id in graph.downstream(e)[0]}
-    elif direction == "max":
-        edges = {e for e in graph.edges if face_id in graph.upstream(e)[0]}
-    else:
+    if direction not in ("min", "max"):
         raise ValueError(f"bad direction {direction!r}")
-    covered: dict = {}
-    for e in edges:
-        for x in graph.edges[e]:
-            if not graph.is_boundary(x):
-                covered[x] = covered.get(x, 0) + 1
-    if set(covered) != set(graph.colors) or any(c != 1 for c in covered.values()):
+    table = graph._memo(("extremal", direction), lambda: _extremal_matchings(graph, direction == "max"))
+    if face_id not in table:
+        return _checked_matching(graph, face_id, frozenset())
+    return table[face_id]
+
+
+def _extremal_matchings(graph: PlabicGraph, upstream: bool) -> dict:
+    """Face id -> the edges whose upstream (or downstream) wedge holds it."""
+    wedge = graph.upstream if upstream else graph.downstream
+    edges = {f.id: [] for f in graph.faces()}
+    for e in graph.edges:
+        for fid in wedge(e)[0]:
+            edges[fid].append(e)
+    return {fid: _checked_matching(graph, fid, frozenset(es)) for fid, es in edges.items()}
+
+
+def _checked_matching(graph: PlabicGraph, face_id: str, edges: frozenset) -> frozenset:
+    # the internal ends of the edges must be the internal vertices, each once
+    ends = [x for e in edges for x in graph.edges[e] if x in graph.colors]
+    if len(ends) != len(graph.colors) or set(ends) != graph.colors.keys():
         raise AssertionError(f"wedge edges at {face_id} are not a matching")
-    return frozenset(edges)
+    return edges
 
 
 def face_exponents(graph: PlabicGraph, matching: Iterable[str]) -> dict:

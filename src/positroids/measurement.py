@@ -4,19 +4,27 @@ commutative-diagram verification harness.
 
 Edge weightings and face vectors are plain dicts of nonzero Fractions keyed
 by edge/face id; a point is a ``RationalMatrix``, and face maps read one
-maximal minor of it per face.  All identities are checked by exact evaluation.
+maximal minor of it per face, from columns cleared of denominators once.
+All identities are checked by exact evaluation.
+
+What depends on the graph alone is built once per graph and memoized on it:
+the perfect orientation of the Gale-minimal matching (its arcs, topological
+order, sources and column signs), the extremal matchings of every face in
+each direction, and the faces and counts that the inverse monomial map
+reads.  A call with a weighting or a face vector does only its arithmetic.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import gale_min
 from .errors import PreconditionError
-from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, permutation_sign, pluecker, twist
+from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, twist
 from .matchings import (
     enumerate_matchings,
     extremal_matching,
@@ -39,10 +47,14 @@ def check_weighting(graph: PlabicGraph, weights: dict) -> dict:
 
 
 def monomial(weights: dict, matching: Iterable[str]) -> Fraction:
-    out = Q(1)
+    """The product of the weights on the matching, as one Fraction of the
+    products of their numerators and of their denominators."""
+    num = den = 1
     for e in matching:
-        out *= weights[e]
-    return out
+        w = weights[e]
+        num *= w.numerator
+        den *= w.denominator
+    return Fraction(num, den)
 
 
 def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
@@ -70,6 +82,46 @@ def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
     return PlueckerVector(graph.n, graph.k, coords)
 
 
+class _Orientation(NamedTuple):
+    """The perfect orientation of M0, with what its path sums read."""
+
+    m0: frozenset
+    steps: tuple  # (tail, ((head, edge, in M0), ...)) for each tail with arcs, in topological order
+    sources: tuple  # I_O
+    negate: tuple  # per source, per boundary vertex: None at a source, else whether the sign is -1
+
+
+def _orient(graph: PlabicGraph) -> _Orientation:
+    m0 = extremal_matching(graph, graph.boundary_face(graph.n).id, "max")
+    arcs = {v: [] for v in [*graph.colors, *graph.boundary_vertices()]}
+    indegree = dict.fromkeys(arcs, 0)
+    for e, (u, w) in graph.edges.items():
+        # a boundary vertex takes the colour opposite to its neighbour's
+        white = u if graph.colors.get(u) == "white" or graph.colors.get(w) == "black" else w
+        black = w if white == u else u
+        tail, head = (black, white) if e in m0 else (white, black)
+        arcs[tail].append((head, e, e in m0))
+        indegree[head] += 1
+    order = [v for v, d in indegree.items() if d == 0]
+    for v in order:
+        for head, _, _ in arcs[v]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                order.append(head)
+    if len(order) != len(arcs):
+        raise AssertionError("the perfect orientation of the Gale-minimal matching has a cycle")
+    sources = tuple(i for i in graph.boundary_vertices() if arcs[i])
+    negate = tuple(
+        tuple(
+            None if j in sources else sum(1 for s in sources if min(i, j) < s < max(i, j)) % 2 == 1
+            for j in graph.boundary_vertices()
+        )
+        for i in sources
+    )
+    steps = tuple((v, tuple(arcs[v])) for v in order if arcs[v])
+    return _Orientation(m0, steps, sources, negate)
+
+
 def boundary_measurement_matrix(
     graph: PlabicGraph, weights: dict
 ) -> tuple[RationalMatrix, Fraction]:
@@ -85,50 +137,35 @@ def boundary_measurement_matrix(
     I_O.  Its sources are I_O.  A path's weight is the product of z_e off M0
     and 1/z_e on M0; row r of A holds the identity in the source columns and
     (-1)^{#sources strictly between i_r and j} times the sum of the paths
-    from source i_r to sink j elsewhere.  The path sums cost O(k E) for E
-    edges.  scale is the monomial of M0; for k = 0 the matrix has no rows.
+    from source i_r to sink j elsewhere.  The orientation, its topological
+    order and the signs depend on the graph alone and are built once; each
+    call runs only the path sums, in O(k E) for E edges.  scale is the
+    monomial of M0; for k = 0 the matrix has no rows.
     """
     weights = check_weighting(graph, weights)
-    m0 = extremal_matching(graph, graph.boundary_face(graph.n).id, "max")
-    arcs = {v: [] for v in [*graph.colors, *graph.boundary_vertices()]}
-    indegree = dict.fromkeys(arcs, 0)
-    for e, (u, w) in graph.edges.items():
-        # a boundary vertex takes the colour opposite to its neighbour's
-        white = u if graph.colors.get(u) == "white" or graph.colors.get(w) == "black" else w
-        black = w if white == u else u
-        if e in m0:
-            tail, head, weight = black, white, 1 / weights[e]
-        else:
-            tail, head, weight = white, black, weights[e]
-        arcs[tail].append((head, weight))
-        indegree[head] += 1
-    order = [v for v, d in indegree.items() if d == 0]
-    for v in order:
-        for head, _ in arcs[v]:
-            indegree[head] -= 1
-            if indegree[head] == 0:
-                order.append(head)
-    if len(order) != len(arcs):
-        raise AssertionError("the perfect orientation of the Gale-minimal matching has a cycle")
-    sources = [i for i in graph.boundary_vertices() if arcs[i]]
+    plan = graph._memo("orientation", lambda: _orient(graph))
+    steps = [
+        (v, [(head, 1 / weights[e] if inverted else weights[e]) for head, e, inverted in arcs])
+        for v, arcs in plan.steps
+    ]
     rows = []
-    for source in sources:
+    for source, negate in zip(plan.sources, plan.negate):
         paths = {source: Q(1)}
-        for v in order:
+        for v, arcs in steps:
             total = paths.get(v)
             if total:
-                for head, weight in arcs[v]:
-                    paths[head] = paths.get(head, 0) + total * weight
+                for head, weight in arcs:
+                    path = total * weight
+                    paths[head] = paths[head] + path if head in paths else path
         row = []
-        for j in graph.boundary_vertices():
-            if j in sources:
-                row.append(Q(1) if j == source else Q(0))
+        for j, odd in enumerate(negate, 1):
+            if odd is None:
+                row.append(Q(int(j == source)))
             else:
-                between = sum(1 for s in sources if min(source, j) < s < max(source, j))
-                row.append((-1) ** between * paths.get(j, Q(0)))
-        rows.append(row)
-    matrix = RationalMatrix.build(rows) if rows else RationalMatrix(())
-    return matrix, monomial(weights, m0)
+                value = paths.get(j, Q(0))
+                row.append(-value if odd else value)
+        rows.append(tuple(row))
+    return RationalMatrix(tuple(rows)), monomial(weights, plan.m0)
 
 
 def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
@@ -175,13 +212,13 @@ def matrix_from_pluecker(p: PlueckerVector) -> RationalMatrix:
 
 def face_pluecker(graph: PlabicGraph, point: RationalMatrix, mode: str) -> dict:
     """Face vector of a point's Plucker coordinates at the source or target
-    labels: one maximal minor of the matrix per face."""
-    out = {}
-    for fid, label in graph.face_labels(mode).items():
-        value = minor(point, label)
+    labels: one maximal minor of the matrix per face, every column's
+    denominators cleared once for all of them."""
+    labels = graph.face_labels(mode)
+    out = dict(zip(labels, minors(point, labels.values())))
+    for fid, value in out.items():
         if value == 0:
-            raise PreconditionError(f"Plucker coordinate at face {fid} ({label}) vanishes")
-        out[fid] = value
+            raise PreconditionError(f"Plucker coordinate at face {fid} ({labels[fid]}) vanishes")
     return out
 
 
@@ -194,42 +231,61 @@ def monomial_map(graph: PlabicGraph, weights: dict, direction: str) -> dict:
     }
 
 
+class _Inverse(NamedTuple):
+    """What the inverse monomial map reads of the graph, in one direction."""
+
+    divisors: dict  # edge -> the faces whose coordinates divide its weight
+    exponents: tuple  # (face id, B_f - 1) for each face with B_f != 1
+    vertex: str  # where the gauge factor applies
+    incident: tuple  # the edges at that vertex
+
+
+def _invert(graph: PlabicGraph, direction: str) -> _Inverse:
+    directly = graph.directly_downstream if direction == "min" else graph.directly_upstream
+    dd = {e: directly(e) for e in graph.edges}
+    divisors = {}
+    for e, (u, w) in graph.edges.items():
+        if graph.is_boundary(u) or graph.is_boundary(w):
+            divisors[e] = (dd[e],)
+        else:
+            adjacent = graph.edge_faces(e)
+            if len(adjacent) == 1:  # lollipop edge: face on both sides
+                adjacent = adjacent * 2
+            divisors[e] = adjacent
+    b = Counter(dd.values())
+    exponents = tuple((f.id, b[f.id] - 1) for f in graph.faces() if b[f.id] != 1)
+    vertex = min(graph.colors)
+    return _Inverse(divisors, exponents, vertex, tuple(graph.incident(vertex)))
+
+
 def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
     """Inverse of the monomial map, as (weights, gauge note).
 
     The raw inverse weights an edge by the reciprocal of its incident face
     coordinates (via the boundary matrix of the chosen wedge direction); a
     single gauge factor prod_f x_f^{B_f - 1} applied at one recorded vertex
-    restores the correct class, so every matching monomial is exact.
+    restores the correct class, so every matching monomial is exact.  The
+    faces each edge reads, the counts B_f and the vertex depend on the graph
+    alone and are built once per direction.
     """
     graph.require_reduced()
     x = {fid: as_fraction(v) for fid, v in face_vector.items()}
-    if direction == "min":
-        dd = {e: graph.directly_downstream(e) for e in graph.edges}
-    elif direction == "max":
-        dd = {e: graph.directly_upstream(e) for e in graph.edges}
-    else:
+    if direction not in ("min", "max"):
         raise ValueError(f"bad direction {direction!r}")
+    plan = graph._memo(("inverse", direction), lambda: _invert(graph, direction))
     weights = {}
-    for e, (u, w) in graph.edges.items():
-        external = graph.is_boundary(u) or graph.is_boundary(w)
-        if external:
-            value = 1 / x[dd[e]]
+    for e, faces in plan.divisors.items():
+        if len(faces) == 1:
+            weights[e] = 1 / x[faces[0]]
         else:
-            adjacent = graph.edge_faces(e)
-            if len(adjacent) == 1:  # lollipop edge: face on both sides
-                adjacent = adjacent * 2
-            value = 1 / (x[adjacent[0]] * x[adjacent[1]])
-        weights[e] = value
-    b = {}
-    for e in graph.edges:
-        b[dd[e]] = b.get(dd[e], 0) + 1
+            weights[e] = 1 / (x[faces[0]] * x[faces[1]])
     gauge_value = Q(1)
-    for f in graph.faces():
-        gauge_value *= x[f.id] ** (b.get(f.id, 0) - 1)
-    vertex = min(graph.colors)
-    weights = gauge_apply(graph, weights, {vertex: gauge_value})
-    return weights, {"vertex": vertex, "factor": gauge_value}
+    for fid, exponent in plan.exponents:
+        gauge_value *= x[fid] ** exponent
+    # gauge_apply at one vertex: only the edges there change
+    for e in plan.incident:
+        weights[e] *= gauge_value
+    return weights, {"vertex": plan.vertex, "factor": gauge_value}
 
 
 def gauge_fix(graph: PlabicGraph, weights: dict, targets: dict) -> dict:
@@ -335,12 +391,50 @@ def random_weighting(graph: PlabicGraph, rng: random.Random) -> dict:
     }
 
 
+def _scaled(network: tuple[RationalMatrix, Fraction]) -> RationalMatrix:
+    """The path-sum matrix with its first row times the scale: its maximal
+    minors are the measurement."""
+    matrix, scale = network
+    return RationalMatrix((tuple(scale * x for x in matrix.rows[0]), *matrix.rows[1:]))
+
+
+def _outcome(check: str, trial: int, z: dict, failure) -> dict:
+    """A report entry; a failure adds the weighting and the failure's details."""
+    entry = {"check": check, "trial": trial, "status": "pass"}
+    if failure is not None:
+        entry.update(status="fail", witness={e: str(v) for e, v in z.items()}, **failure)
+    return entry
+
+
+def _square_failure(labels: dict, got: dict, want: dict):
+    """The first face, in face order, where the face vectors differ."""
+    for fid, value in want.items():
+        if got[fid] != value:
+            return {"face": fid, "label": list(labels[fid]), "expected": str(value), "actual": str(got[fid])}
+    return None
+
+
+def _entry_failure(want: RationalMatrix, got: RationalMatrix) -> dict:
+    """The first entry, by rows, where two matrices of one shape differ."""
+    r, c = next(
+        (r, c)
+        for r, (a, b) in enumerate(zip(want.rows, got.rows))
+        for c, (x, y) in enumerate(zip(a, b))
+        if x != y
+    )
+    return {"entry": [r + 1, c + 1], "expected": str(want.rows[r][c]), "actual": str(got.rows[r][c])}
+
+
 def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[dict]:
     """Exact checks of the main commutative diagram at seeded random weights.
 
     Per trial: the two squares of the diagram, inversion of the boundary
     measurement through the right square, and the Laurent expansion of three
-    random twisted Pluckers.  Failures are reported, not raised.
+    random twisted Pluckers.  Failures are reported, not raised: a failed
+    entry carries the weighting, and a failed square also its first face,
+    that face's label and the expected and actual values; a failed
+    inversion the first entry of the scaled matrix that differs; a failed
+    Laurent check both values.
 
     The point is the path-sum matrix with its first row times the scale, so
     its minors are the measurement; the face maps read minors of it and its
@@ -348,7 +442,8 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     face values multiply over each matching to that matching's Laurent
     term, so the term sum at J is their measurement at J, from path sums.
     No matching is listed: the term list of ``twisted_pluecker_laurent``
-    serves the ``laurent`` subcommand and the tests.
+    serves the ``laurent`` subcommand and the tests.  Every step that
+    depends on the graph alone is built on the first trial and memoized.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -360,33 +455,25 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     for trial in range(trials):
         z = random_weighting(graph, rng)
         network = boundary_measurement_matrix(graph, z)
-        matrix, scale = network
-        A = RationalMatrix((tuple(scale * x for x in matrix.rows[0]), *matrix.rows[1:]))
+        A = _scaled(network)
         right = twist(A, "right")
         left = twist(A, "left")
 
         right_source = face_pluecker(graph, right, "source")
-        want = monomial_map(graph, z, "min")
-        entry = {"check": "right-square", "trial": trial, "status": "pass"}
-        if right_source != want:
-            entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
-        report.append(entry)
+        failure = _square_failure(graph.face_labels("source"), right_source, monomial_map(graph, z, "min"))
+        report.append(_outcome("right-square", trial, z, failure))
 
         got = face_pluecker(graph, left, "target")
-        want = monomial_map(graph, z, "max")
-        entry = {"check": "left-square", "trial": trial, "status": "pass"}
-        if got != want:
-            entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
-        report.append(entry)
+        failure = _square_failure(graph.face_labels("target"), got, monomial_map(graph, z, "max"))
+        report.append(_outcome("left-square", trial, z, failure))
 
         # equal (matrix, scale) pairs are equal measurements, which on a
         # reduced graph means equal monomials on every matching: the
         # measurement is injective on gauge classes
         recovered, _ = boundary_partial(graph, right_source, "min")
-        entry = {"check": "inversion", "trial": trial, "status": "pass"}
-        if boundary_measurement_matrix(graph, recovered) != network:
-            entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
-        report.append(entry)
+        again = boundary_measurement_matrix(graph, recovered)
+        failure = None if again == network else _entry_failure(A, _scaled(again))
+        report.append(_outcome("inversion", trial, z, failure))
 
         # the weights are positive, so the support is the set of matching boundaries
         boundaries = pluecker(A).support()
@@ -394,8 +481,7 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
         B, t = boundary_measurement_matrix(graph, laurent)
         picks = [boundaries[rng.randrange(len(boundaries))] for _ in range(3)]
         for J in picks:
-            entry = {"check": f"laurent-{''.join(map(str, J))}", "trial": trial, "status": "pass"}
-            if minor(left, J) != t * minor(B, J):
-                entry.update(status="fail", witness={e: str(v) for e, v in z.items()})
-            report.append(entry)
+            want, got = minor(left, J), t * minor(B, J)
+            failure = None if want == got else {"expected": str(want), "actual": str(got)}
+            report.append(_outcome(f"laurent-{''.join(map(str, J))}", trial, z, failure))
     return report

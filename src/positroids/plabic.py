@@ -6,7 +6,9 @@ ids, and the clockwise cyclic order of edge ids around each internal vertex.
 Faces, strands, the trip permutation and downstream/upstream wedges are all
 derived from this combinatorial map.  Face labels and wedges both come from
 one cut of the strand diagram: block a set of strand pieces and search the
-atoms (face cores and internal vertices) that the pieces separate.
+atoms (face cores and internal vertices) that the pieces separate.  Atoms
+and pieces get integer ids once per graph, strand by strand, so the pieces
+of a strand from any crossing on are one range of ids.
 
 Strand traversal rule: a strand crossing an edge toward a white vertex leaves
 along the next incident edge clockwise; toward a black vertex it leaves along
@@ -55,6 +57,16 @@ class _FaceIndex(NamedTuple):
     by_id: dict  # face id -> Face
     by_arc: dict  # boundary arc (i, i+1) -> the face walking along it
     by_edge: dict  # edge id -> distinct ids of the faces beside it, in face order
+
+
+class _Atoms(NamedTuple):
+    """The atom graph of the strand diagram, with integer ids: faces
+    0..F-1 in ``faces()`` order, then the internal vertices."""
+
+    face: dict  # face id -> atom id
+    vertex: dict  # internal vertex -> atom id
+    pieces: dict  # crossing -> (first piece id of its strand, its own, one past the last)
+    neighbors: list  # atom id -> ((neighbor atom id, piece id), ...)
 
 
 @dataclass(frozen=True)
@@ -437,12 +449,12 @@ class PlabicGraph:
     # Both are the part of the disc that a set of strand pieces cuts off in
     # the strand diagram.  Between two crossings a strand cuts one corner: the
     # piece separates the internal vertex from the face at that corner, and is
-    # keyed by the crossing (edge, toward_vertex) it follows.  The atoms it
-    # separates are ("v", vertex) and ("f", face id).  A boundary vertex needs
-    # no atom: its two end stubs fence it off from the two boundary faces
-    # beside it, as the corners next to them fence off the pendant edge's
-    # internal end, and no cut below opens the way through the boundary vertex
-    # while closing the way round that end.
+    # named by the crossing (edge, toward_vertex) it follows.  The atoms it
+    # separates are the faces and the internal vertices.  A boundary vertex
+    # needs no atom: its two end stubs fence it off from the two boundary
+    # faces beside it, as the corners next to them fence off the pendant
+    # edge's internal end, and no cut below opens the way through the boundary
+    # vertex while closing the way round that end.
 
     def face_labels(self, mode: str) -> dict:
         """Map face id -> sorted tuple of strand sources (or targets)."""
@@ -468,13 +480,15 @@ class PlabicGraph:
         end of its first edge, which lies right of the strand if white and
         left if black."""
         (e0, v), (e1, _) = strand.path[:2]
-        side = self._region(set(strand.path), [("v", v)])
-        if ("f", self._corner_face(v, e0, e1).id) in side:
+        atoms = self._atoms()
+        start, _, end = atoms.pieces[strand.path[0]]
+        side = self._region(set(range(start, end)), [atoms.vertex[v]])
+        if side[atoms.face[self._corner_face(v, e0, e1).id]]:
             raise AssertionError(
                 f"strand {strand.source} does not cut its first corner face from vertex {v!r}"
             )
         white = self.colors[v] == "white"
-        return {f.id for f in self.faces() if (("f", f.id) in side) != white}
+        return {f.id for f, inside in zip(self.faces(), side) if inside != white}
 
     def _corner_face(self, v, e_in, e_out) -> Face:
         """The face a strand cuts off at internal v, turning from e_in to e_out."""
@@ -482,34 +496,42 @@ class PlabicGraph:
             return self.face_of_corner(v, e_in, e_out)
         return self.face_of_corner(v, e_out, e_in)
 
-    def _passage_strand(self):
-        """Map each crossing (edge, toward_vertex) to (strand index, position)."""
-        return self._memo(
-            "passages",
-            lambda: {
-                c: (si, pos) for si, s in enumerate(self.strands()) for pos, c in enumerate(s.path)
-            },
-        )
+    def _atoms(self) -> _Atoms:
+        return self._memo("atoms", self._cut_atoms)
 
-    def _cut_atoms(self):
-        """Map each atom to its (neighbor atom, piece) pairs."""
-        neighbors = {}
+    def _cut_atoms(self) -> _Atoms:
+        """Number the atoms and the pieces, and link the atoms each piece
+        separates.  Strand by strand, each crossing takes the next piece id,
+        so a strand's pieces from one crossing on are a range of ids."""
+        faces = self.faces()
+        face = {f.id: a for a, f in enumerate(faces)}
+        vertex = {v: a for a, v in enumerate(self.colors, start=len(faces))}
+        neighbors = [[] for _ in range(len(faces) + len(vertex))]
+        pieces = {}
+        start = 0
         for s in self.strands():
-            for (e, v), (e_out, _) in zip(s.path, s.path[1:]):
-                face = ("f", self._corner_face(v, e, e_out).id)
-                neighbors.setdefault(("v", v), []).append((face, (e, v)))
-                neighbors.setdefault(face, []).append((("v", v), (e, v)))
-        return neighbors
+            end = start + len(s.path)
+            for piece, crossing in enumerate(s.path, start):
+                pieces[crossing] = (start, piece, end)
+            for piece, ((e, v), (e_out, _)) in enumerate(zip(s.path, s.path[1:]), start):
+                f, x = face[self._corner_face(v, e, e_out).id], vertex[v]
+                neighbors[x].append((f, piece))
+                neighbors[f].append((x, piece))
+            start = end
+        return _Atoms(face, vertex, pieces, [tuple(x) for x in neighbors])
 
-    def _region(self, blocked, seeds) -> set:
-        """The atoms reachable from the seeds without crossing a blocked piece."""
-        neighbors = self._memo("atoms", self._cut_atoms)
-        seen = set(seeds)
-        stack = list(seen)
+    def _region(self, blocked, seeds) -> bytearray:
+        """Mark the atoms reachable from the seed atoms without crossing a
+        blocked piece: entry a of the result is 1 iff atom a is reached."""
+        neighbors = self._atoms().neighbors
+        seen = bytearray(len(neighbors))
+        for a in seeds:
+            seen[a] = 1
+        stack = list(seeds)
         while stack:
-            for y, piece in neighbors.get(stack.pop(), ()):
-                if piece not in blocked and y not in seen:
-                    seen.add(y)
+            for y, piece in neighbors[stack.pop()]:
+                if not seen[y] and piece not in blocked:
+                    seen[y] = 1
                     stack.append(y)
         return seen
 
@@ -519,16 +541,14 @@ class PlabicGraph:
         Returns (faces, vertices): the face ids and internal vertex ids inside
         the wedge, i.e. in the component not containing the edge itself.
         """
-        passages = self._passage_strand()
-        strands = self.strands()
+        atoms = self._atoms()
         blocked = set()
         for toward in self.edges[edge_id]:
-            si, pos = passages[(edge_id, toward)]
-            s = strands[si]
-            blocked.update(s.path[:pos] if upstream else s.path[pos:])
-        seen = self._region(blocked, [("v", x) for x in self.edges[edge_id] if not self.is_boundary(x)])
-        faces = {f.id for f in self.faces() if ("f", f.id) not in seen}
-        vertices = {v for v in self.colors if ("v", v) not in seen}
+            start, piece, end = atoms.pieces[(edge_id, toward)]
+            blocked.update(range(start, piece) if upstream else range(piece, end))
+        seen = self._region(blocked, [atoms.vertex[x] for x in self.edges[edge_id] if not self.is_boundary(x)])
+        faces = {f.id for f, inside in zip(self.faces(), seen) if not inside}
+        vertices = {v for v, a in atoms.vertex.items() if not seen[a]}
         return faces, vertices
 
     def downstream(self, edge_id: str):

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from positroids import fixtures  # noqa: E402
 from positroids.core import BoundedAffinePermutation  # noqa: E402
+from positroids.moves import synthesize  # noqa: E402
 
 
 def all_bounded_affine(n):
@@ -28,6 +29,15 @@ def random_bounded_affine(n, rng):
     return BoundedAffinePermutation(
         tuple(rng.choice((a, a + n)) if r == a else r if r > a else r + n for a, r in enumerate(perm, 1))
     )
+
+
+def plan_graphs():
+    """Every fixture, every cell with n <= 5 and the top cells Gr(3,6)...Gr(7,14)."""
+    yield from map(fixtures.load, sorted(fixtures.BUILDERS))
+    for n in range(1, 6):
+        yield from map(synthesize, all_bounded_affine(n))
+    for k in range(3, 8):
+        yield synthesize(BoundedAffinePermutation(tuple(range(k + 1, 3 * k + 1))))
 
 
 @pytest.fixture(scope="session")

@@ -207,6 +207,15 @@ MALFORMED = {
     "zero-trials": (("verify", "--trials", "0"), (FIXTURES / "square4.json").read_text()),
     "negative-trials": (("verify", "--trials", "-1"), (FIXTURES / "square4.json").read_text()),
     "negative-times": (("twist", "--right", "--times", "-3"), json.dumps({"rows": [[1, 0], [0, 1]]})),
+    # square4 has n = 4 and k = 2
+    "J-out-of-range": (("laurent", "--J", "1,9"), (FIXTURES / "square4.json").read_text()),
+    "J-below-range": (("laurent", "--J", "0,2"), (FIXTURES / "square4.json").read_text()),
+    "J-repeated": (("laurent", "--J", "1,1"), (FIXTURES / "square4.json").read_text()),
+    "J-wrong-size": (("laurent", "--J", "1"), (FIXTURES / "square4.json").read_text()),
+    "boundary-out-of-range": (("matchings", "--boundary", "1,9"), (FIXTURES / "square4.json").read_text()),
+    "boundary-below-range": (("matchings", "--boundary", "0,2"), (FIXTURES / "square4.json").read_text()),
+    "boundary-repeated": (("matchings", "--boundary", "1,1"), (FIXTURES / "square4.json").read_text()),
+    "boundary-wrong-size": (("matchings", "--boundary", "1,2,3"), (FIXTURES / "square4.json").read_text()),
 }
 
 

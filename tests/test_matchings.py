@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
-from conftest import all_bounded_affine
+from conftest import all_bounded_affine, plan_graphs
 
 from positroids import fixtures
 from positroids.core import BoundedAffinePermutation
@@ -19,6 +19,7 @@ from positroids.matchings import (
 )
 from positroids.measurement import monomial, random_weighting
 from positroids.moves import synthesize
+from positroids.plabic import PlabicGraph
 
 
 def test_square4_enumeration(square4):
@@ -287,3 +288,32 @@ def test_boundary_search_matches_filter_on_synthesized_graphs():
     for n in range(1, 6):
         for pi in all_bounded_affine(n):
             assert_boundary_search_matches_filter(synthesize(pi))
+
+
+def oracle_extremal_matching(graph, face_id, direction):
+    """The per-face scan: every edge whose downstream (or upstream) wedge holds the face."""
+    wedge = graph.downstream if direction == "min" else graph.upstream
+    return frozenset(e for e in graph.edges if face_id in wedge(e)[0])
+
+
+def test_extremal_matchings_match_the_per_face_scan():
+    count = 0
+    for g in plan_graphs():
+        for f in g.faces():
+            for direction in ("min", "max"):
+                assert extremal_matching(g, f.id, direction) == oracle_extremal_matching(g, f.id, direction)
+        count += 1
+    assert count == 6 + 414 + 5
+
+
+def test_extremal_matching_check_keeps_its_message(monkeypatch):
+    g = fixtures.load("square4")
+    with pytest.raises(AssertionError, match="wedge edges at f9 are not a matching"):
+        extremal_matching(g, "f9", "max")
+    # wedges that hold no face leave every face without a matching; the
+    # first face in face order is checked first
+    monkeypatch.setattr(PlabicGraph, "downstream", lambda self, e: (set(), set()))
+    with pytest.raises(AssertionError, match="wedge edges at b1 are not a matching"):
+        extremal_matching(g, "f1", "min")
+    with pytest.raises(ValueError, match="bad direction"):
+        extremal_matching(g, "f1", "sideways")

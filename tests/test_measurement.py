@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_bounded_affine
-from positroids import chamber, fixtures, linalg, matchings, measurement
+from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
+from positroids import chamber, cli, fixtures, linalg, matchings, measurement
 from positroids.core import gale_min
 from positroids.errors import PreconditionError
 from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
@@ -28,6 +31,7 @@ from positroids.measurement import (
 )
 from positroids.moves import synthesize
 from positroids.plabic import PlabicGraph
+from test_matchings import oracle_extremal_matching
 
 LETTERS = "abcdefghijklmnopqrstu"
 
@@ -373,6 +377,15 @@ def test_measure_enumerates_on_a_graph_that_is_not_reduced(square4):
     assert measure(g, z) == enumerative_measure(g, z)
 
 
+def first_difference(want, got):
+    """The first (row, column) from 1 where two matrices differ, by rows."""
+    for r, (a, b) in enumerate(zip(want.rows, got.rows), 1):
+        for c, (x, y) in enumerate(zip(a, b), 1):
+            if x != y:
+                return [r, c]
+    return None
+
+
 def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
     def broken(graph, face_vector, direction):
         weights, note = boundary_partial(graph, face_vector, direction)
@@ -386,6 +399,15 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
         inversions = [r for r in report if r["check"] == "inversion"]
         assert [r["status"] for r in inversions] == ["fail", "fail"]
         assert all(set(r["witness"]) == set(d4.edges) for r in inversions)
+        for r in inversions:
+            # the first entry of the scaled matrix that the inverse does not recover
+            z = {e: Q(v) for e, v in r["witness"].items()}
+            A = scaled_network_matrix(d4, z)
+            recovered, _ = broken(d4, face_pluecker(d4, twist(A, "right"), "source"), "min")
+            again = scaled_network_matrix(d4, recovered)
+            r_, c_ = r["entry"]
+            assert r["entry"] == first_difference(A, again)
+            assert (r["expected"], r["actual"]) == (str(A.rows[r_ - 1][c_ - 1]), str(again.rows[r_ - 1][c_ - 1]))
         # the Laurent weights come from the same inverse, so a laurent-J entry
         # fails exactly when some matching with boundary J uses bd
         laurent = [r for r in report if r["check"].startswith("laurent-")]
@@ -393,9 +415,39 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
             J = tuple(int(c) for c in r["check"].removeprefix("laurent-"))
             uses_bd = any("bd" in m for m in enumerate_matchings(d4, J))
             assert r["status"] == ("fail" if uses_bd else "pass"), (seed, r["check"])
+            if uses_bd:
+                # Delta_J of the left twist, and the term sum of the broken weights
+                z = {e: Q(v) for e, v in r["witness"].items()}
+                A = scaled_network_matrix(d4, z)
+                B, t = boundary_measurement_matrix(d4, broken(d4, face_pluecker(d4, A, "source"), "min")[0])
+                assert r["expected"] == str(minor(twist(A, "left"), J))
+                assert r["actual"] == str(t * minor(B, J)) != r["expected"]
+            else:
+                assert "expected" not in r and "witness" not in r
         assert any(r["status"] == "fail" for r in laurent) == (seed == 0)
         squares = [r for r in report if r["check"].endswith("-square")]
         assert len(squares) == 4 and all(r["status"] == "pass" for r in squares)
+
+    # a left square whose monomial map is off at the third and the last
+    # face: the entry names the third
+    monkeypatch.setattr(measurement, "boundary_partial", boundary_partial)
+    third, last = d4.faces()[2].id, d4.faces()[-1].id
+
+    def off_at_two_faces(graph, weights, direction):
+        values = monomial_map(graph, weights, direction)
+        if direction == "max":
+            values.update({f: 2 * values[f] for f in (third, last)})
+        return values
+
+    monkeypatch.setattr(measurement, "monomial_map", off_at_two_faces)
+    right, left = verify_diagram(d4, seed=7, trials=1)[:2]
+    assert right == {"check": "right-square", "trial": 0, "status": "pass"}
+    z = {e: Q(v) for e, v in left["witness"].items()}
+    value = face_pluecker(d4, twist(scaled_network_matrix(d4, z), "left"), "target")[third]
+    assert value == monomial_map(d4, z, "max")[third]
+    assert left["status"] == "fail"
+    assert (left["face"], left["label"]) == (third, list(d4.face_labels("target")[third]))
+    assert (left["expected"], left["actual"]) == (str(2 * value), str(value))
 
 
 def spy(monkeypatch, *names):
@@ -483,3 +535,96 @@ def test_verify_identities_on_small_cells():
             if pi.k >= 1:  # k = 0 has no matrix to twist
                 g = synthesize(pi)
                 assert_verify_identities(g, random_weighting(g, rng))
+
+
+def oracle_boundary_measurement_matrix(graph, weights):
+    """The per-call orientation: M0 by the per-face scan, then the arcs, the
+    topological order and the signs, all rebuilt for every weighting."""
+    m0 = oracle_extremal_matching(graph, graph.boundary_face(graph.n).id, "max")
+    arcs = {v: [] for v in [*graph.colors, *graph.boundary_vertices()]}
+    indegree = dict.fromkeys(arcs, 0)
+    for e, (u, w) in graph.edges.items():
+        white = u if graph.colors.get(u) == "white" or graph.colors.get(w) == "black" else w
+        black = w if white == u else u
+        if e in m0:
+            tail, head, weight = black, white, 1 / weights[e]
+        else:
+            tail, head, weight = white, black, weights[e]
+        arcs[tail].append((head, weight))
+        indegree[head] += 1
+    order = [v for v, d in indegree.items() if d == 0]
+    for v in order:
+        for head, _ in arcs[v]:
+            indegree[head] -= 1
+            if indegree[head] == 0:
+                order.append(head)
+    assert len(order) == len(arcs)
+    sources = [i for i in graph.boundary_vertices() if arcs[i]]
+    rows = []
+    for source in sources:
+        paths = {source: Q(1)}
+        for v in order:
+            total = paths.get(v)
+            if total:
+                for head, weight in arcs[v]:
+                    paths[head] = paths.get(head, 0) + total * weight
+        row = []
+        for j in graph.boundary_vertices():
+            if j in sources:
+                row.append(Q(1) if j == source else Q(0))
+            else:
+                between = sum(1 for s in sources if min(source, j) < s < max(source, j))
+                row.append((-1) ** between * paths.get(j, Q(0)))
+        rows.append(row)
+    matrix = RationalMatrix.build(rows) if rows else RationalMatrix(())
+    return matrix, monomial(weights, m0)
+
+
+def test_boundary_measurement_matrix_matches_the_per_call_orientation():
+    rng = random.Random(41)
+    count = 0
+    for g in plan_graphs():
+        for _ in range(2):  # the second call reads the memoized orientation
+            z = random_weighting(g, rng)
+            assert boundary_measurement_matrix(g, z) == oracle_boundary_measurement_matrix(g, z)
+        count += 1
+    assert count == 6 + 414 + 5
+
+
+def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
+    builds = []
+    for module, name in ((measurement, "_orient"), (measurement, "_invert"), (matchings, "_extremal_matchings")):
+
+        def counting(*args, _original=getattr(module, name), _name=name):
+            builds.append((_name, *args[1:]))
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    wedges = []
+    wedge = PlabicGraph._wedge
+    monkeypatch.setattr(PlabicGraph, "_wedge", lambda self, e, upstream: wedges.append(e) or wedge(self, e, upstream))
+    calls = spy(monkeypatch, "minor")
+    cli.main(["verify", "d4", "--trials", "2"])
+    assert json.loads(capsys.readouterr().out)["all_passed"]
+    assert sorted(builds) == [
+        ("_extremal_matchings", False),
+        ("_extremal_matchings", True),
+        ("_invert", "min"),
+        ("_orient",),
+    ]
+    # one downstream and one upstream wedge per edge
+    assert len(wedges) == 2 * len(fixtures.load("d4").edges)
+    # the three Laurent picks of each trial, on two matrices each
+    assert len(calls["minor"]) == 3 * 2 * 2
+    g = fixtures.load("d4")
+    face_pluecker(g, scaled_network_matrix(g, random_weighting(g, random.Random(5))), "source")
+    assert len(calls["minor"]) == 3 * 2 * 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False), st.integers(0, 2**16))
+def test_verify_diagram_property(n, rng, seed):
+    pi = random_bounded_affine(n, rng)
+    assume(pi.k >= 1)
+    report = verify_diagram(synthesize(pi), seed=seed, trials=1)
+    assert [r["status"] for r in report] == ["pass"] * 6, pi.values
