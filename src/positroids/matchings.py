@@ -239,8 +239,6 @@ def extremal_matching(graph: PlabicGraph, face_id: str, direction: str) -> froze
     if direction not in ("min", "max"):
         raise ValueError(f"bad direction {direction!r}")
     table = graph._memo(("extremal", direction), lambda: _extremal_matchings(graph, direction == "max"))
-    if face_id not in table:
-        return _checked_matching(graph, face_id, frozenset())
     return table[face_id]
 
 

@@ -169,14 +169,17 @@ def boundary_measurement_matrix(
 
 
 def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
-    """Scale each edge by the gauge values at its internal endpoints."""
-    out = {}
-    for e, (u, w) in graph.edges.items():
-        factor = Q(1)
-        for x in (u, w):
-            if not graph.is_boundary(x):
-                factor *= as_fraction(gauge.get(x, 1))
-        out[e] = as_fraction(weights[e]) * factor
+    """Scale each edge by the gauge values at its internal endpoints; only
+    the edges at the gauged vertices are multiplied."""
+    out = {e: as_fraction(weights[e]) for e in graph.edges}
+    for x, value in gauge.items():
+        if graph.is_boundary(x) or not graph.incident(x):
+            continue
+        value = as_fraction(value)
+        for e in graph.incident(x):
+            for end in graph.edges[e]:  # twice on a loop
+                if end == x:
+                    out[e] *= value
     return out
 
 
@@ -237,7 +240,6 @@ class _Inverse(NamedTuple):
     divisors: dict  # edge -> the faces whose coordinates divide its weight
     exponents: tuple  # (face id, B_f - 1) for each face with B_f != 1
     vertex: str  # where the gauge factor applies
-    incident: tuple  # the edges at that vertex
 
 
 def _invert(graph: PlabicGraph, direction: str) -> _Inverse:
@@ -255,7 +257,7 @@ def _invert(graph: PlabicGraph, direction: str) -> _Inverse:
     b = Counter(dd.values())
     exponents = tuple((f.id, b[f.id] - 1) for f in graph.faces() if b[f.id] != 1)
     vertex = min(graph.colors)
-    return _Inverse(divisors, exponents, vertex, tuple(graph.incident(vertex)))
+    return _Inverse(divisors, exponents, vertex)
 
 
 def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
@@ -282,9 +284,7 @@ def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
     gauge_value = Q(1)
     for fid, exponent in plan.exponents:
         gauge_value *= x[fid] ** exponent
-    # gauge_apply at one vertex: only the edges there change
-    for e in plan.incident:
-        weights[e] *= gauge_value
+    weights = gauge_apply(graph, weights, {plan.vertex: gauge_value})
     return weights, {"vertex": plan.vertex, "factor": gauge_value}
 
 

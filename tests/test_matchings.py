@@ -308,8 +308,6 @@ def test_extremal_matchings_match_the_per_face_scan():
 
 def test_extremal_matching_check_keeps_its_message(monkeypatch):
     g = fixtures.load("square4")
-    with pytest.raises(AssertionError, match="wedge edges at f9 are not a matching"):
-        extremal_matching(g, "f9", "max")
     # wedges that hold no face leave every face without a matching; the
     # first face in face order is checked first
     monkeypatch.setattr(PlabicGraph, "downstream", lambda self, e: (set(), set()))
