@@ -155,14 +155,6 @@ class BoundedAffinePermutation:
             out[b - 1] = a + (b - v)
         return tuple(out)
 
-    def fixed_color(self, a: int) -> str | None:
-        """'black' for pi(a) = a, 'white' for pi(a) = a + n, else None."""
-        if self(a) == a:
-            return "black"
-        if self(a) == a + self.n:
-            return "white"
-        return None
-
 
 def pi_implies(pi: BoundedAffinePermutation, a: int, b: int) -> bool:
     """Whether b < a <= pi(a) < pi(b), the alignment relation."""

@@ -1,5 +1,5 @@
-"""Matchings of a plabic graph: enumeration, incidence data, extremal
-matchings, face exponents and the swivel lattice.
+"""Matchings of a plabic graph: enumeration, the boundary matrix ∂,
+incidence data, extremal matchings, face exponents and the swivel lattice.
 
 A matching is stored as a frozenset of edge ids covering each internal
 vertex exactly once; its boundary is the subset of [n] given by covered
@@ -7,8 +7,9 @@ white-adjacent and uncovered black-adjacent boundary vertices.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Positroid, necklace_from_bases, positroid_from_necklace
 from .errors import PreconditionError
@@ -142,6 +143,41 @@ def graph_positroid(graph: PlabicGraph) -> Positroid:
     return pos
 
 
+class BoundaryMatrix(NamedTuple):
+    """The boundary matrix ∂ of one wedge direction.
+
+    Column e of ∂ lists the faces that the weight of edge e divides by in the
+    inverse monomial map; B_f, the size of face f's half, counts the edges
+    that have f directly downstream (or upstream).
+    """
+
+    divisors: dict  # edge -> its faces: the directly-downstream one at the boundary, both sides inside
+    halves: dict  # face id -> frozenset of the edges with it directly downstream, in faces() order
+
+
+def boundary_matrix(graph: PlabicGraph, direction: str) -> BoundaryMatrix:
+    """∂ for the downstream ("min") or upstream ("max") wedges, built once
+    per graph and direction and memoized on it."""
+    if direction not in ("min", "max"):
+        raise ValueError(f"bad direction {direction!r}")
+    return graph._memo(("boundary", direction), lambda: _boundary_matrix(graph, direction == "max"))
+
+
+def _boundary_matrix(graph: PlabicGraph, upstream: bool) -> BoundaryMatrix:
+    directly = graph.directly_upstream if upstream else graph.directly_downstream
+    divisors = {}
+    halves = {f.id: set() for f in graph.faces()}
+    for e, (u, w) in graph.edges.items():
+        face = directly(e)
+        halves[face].add(e)
+        if graph.is_boundary(u) or graph.is_boundary(w):
+            divisors[e] = (face,)
+        else:
+            beside = graph.edge_faces(e)
+            divisors[e] = beside * 2 if len(beside) == 1 else beside  # lollipop edge: face on both sides
+    return BoundaryMatrix(divisors, {fid: frozenset(es) for fid, es in halves.items()})
+
+
 @dataclass(frozen=True)
 class IncidenceData:
     """Downstream-wedge matrices over a fixed edge/face/vertex ordering."""
@@ -154,7 +190,6 @@ class IncidenceData:
     d_fe: tuple  # boundary matrix entries d[f][e]
     d_ve: tuple
     b: dict  # face id -> number of edges with that face directly downstream
-    face_edges: dict  # face id -> frozenset of the edges e with d[f][e] = 1
 
     def block_products_are_identity(self) -> bool:
         E = len(self.edge_order)
@@ -178,14 +213,6 @@ class IncidenceData:
 
         return is_identity(matmul(right, left)) and is_identity(matmul(left, right))
 
-    def face_exponents(self, matching: Iterable[str]) -> dict:
-        """Exponent of each face in the minimal-matching monomial expansion."""
-        matched = set(matching)
-        return {
-            fid: len(self.face_edges[fid] & matched) - (self.b[fid] - 1)
-            for fid in self.face_order
-        }
-
 
 def incidence_data(graph: PlabicGraph) -> IncidenceData:
     """Built once per graph and memoized on it."""
@@ -194,39 +221,18 @@ def incidence_data(graph: PlabicGraph) -> IncidenceData:
 
 
 def _build_incidence_data(graph: PlabicGraph) -> IncidenceData:
+    """A dense view of ∂ and of the minimal matchings' table U."""
     edge_order = tuple(sorted(graph.edges))
     face_order = tuple(f.id for f in graph.faces())
     vertex_order = tuple(sorted(graph.colors))
-    down = {e: graph.downstream(e) for e in edge_order}
-    dd = {e: graph.directly_downstream(e) for e in edge_order}
-    u_ef = tuple(
-        tuple(1 if fid in down[e][0] else 0 for fid in face_order) for e in edge_order
-    )
-    u_ev = tuple(
-        tuple(1 if v in down[e][1] else 0 for v in vertex_order) for e in edge_order
-    )
-    d_fe = []
-    for fid in face_order:
-        row = []
-        for e in edge_order:
-            u, w = graph.edges[e]
-            external = graph.is_boundary(u) or graph.is_boundary(w)
-            if external:
-                row.append(1 if dd[e] == fid else 0)
-            else:
-                row.append(1 if fid in graph.edge_faces(e) else 0)
-        d_fe.append(tuple(row))
-    d_ve = tuple(
-        tuple(1 if v in graph.edges[e] else 0 for e in edge_order) for v in vertex_order
-    )
-    b = {fid: sum(1 for e in edge_order if dd[e] == fid) for fid in face_order}
-    face_edges = {
-        fid: frozenset(e for e, x in zip(edge_order, row) if x)
-        for fid, row in zip(face_order, d_fe)
-    }
-    return IncidenceData(
-        edge_order, face_order, vertex_order, u_ef, u_ev, tuple(d_fe), d_ve, b, face_edges
-    )
+    plan = boundary_matrix(graph, "min")
+    minimal = [extremal_matching(graph, fid, "min") for fid in face_order]
+    u_ef = tuple(tuple(int(e in m) for m in minimal) for e in edge_order)
+    u_ev = tuple(tuple(int(v in graph.downstream(e)[1]) for v in vertex_order) for e in edge_order)
+    d_fe = tuple(tuple(int(fid in plan.divisors[e]) for e in edge_order) for fid in face_order)
+    d_ve = tuple(tuple(int(v in graph.edges[e]) for e in edge_order) for v in vertex_order)
+    b = {fid: len(plan.halves[fid]) for fid in face_order}
+    return IncidenceData(edge_order, face_order, vertex_order, u_ef, u_ev, d_fe, d_ve, b)
 
 
 def extremal_matching(graph: PlabicGraph, face_id: str, direction: str) -> frozenset:
@@ -261,8 +267,13 @@ def _checked_matching(graph: PlabicGraph, face_id: str, edges: frozenset) -> fro
 
 
 def face_exponents(graph: PlabicGraph, matching: Iterable[str]) -> dict:
-    """Exponent of each face in the minimal-matching monomial expansion."""
-    return incidence_data(graph).face_exponents(matching)
+    """Exponent of each face in the minimal-matching monomial expansion: the
+    matching's edges with the face in their column of ∂, each counted once,
+    less B_f - 1."""
+    graph.require_reduced()
+    plan = boundary_matrix(graph, "min")
+    hits = Counter(fid for e in matching for fid in set(plan.divisors[e]))
+    return {fid: hits[fid] - (len(half) - 1) for fid, half in plan.halves.items()}
 
 
 def _swivelable(graph: PlabicGraph, matching: frozenset, face) -> Optional[frozenset]:
@@ -287,16 +298,12 @@ def swivel(graph: PlabicGraph, matching: frozenset, face_id: str, direction: str
     result = _swivelable(graph, matching, face)
     if result is None:
         raise ValueError(f"matching holds fewer than half the edges of {face_id}")
-    down_half = {e for e in face.edges if graph.directly_downstream(e) == face_id}
-    inside = set(matching) & set(face.edges)
-    if direction == "up":
-        if inside != down_half:
-            raise ValueError(f"swivel up not applicable at {face_id}")
-    elif direction == "down":
-        if inside != set(face.edges) - down_half:
-            raise ValueError(f"swivel down not applicable at {face_id}")
-    else:
+    down_half = boundary_matrix(graph, "min").halves[face_id]
+    off = {"up": down_half, "down": set(face.edges) - down_half}  # the half each direction moves off
+    if direction not in off:
         raise ValueError(f"bad direction {direction!r}")
+    if set(matching) & set(face.edges) != off[direction]:
+        raise ValueError(f"swivel {direction} not applicable at {face_id}")
     return result
 
 
@@ -315,7 +322,7 @@ class MatchingPoset:
         up = [set() for _ in self.nodes]
         for lo, hi, _ in self.covers:
             up[lo].add(hi)
-        # transitive closure by BFS
+        # transitive closure by BFS: for each node, the nodes above or equal to it
         self._closure = []
         for i in range(len(self.nodes)):
             seen = {i}
@@ -327,13 +334,6 @@ class MatchingPoset:
                         seen.add(y)
                         stack.append(y)
             self._closure.append(seen)
-
-    def _above(self) -> list[set]:
-        """For each node, the set of nodes above or equal to it."""
-        return self._closure
-
-    def leq(self, i: int, j: int) -> bool:
-        return j in self._above()[i]
 
     def minimum(self) -> frozenset:
         uppers = {hi for _, hi, _ in self.covers}
@@ -350,7 +350,7 @@ class MatchingPoset:
         return self.nodes[maxs[0]]
 
     def meet(self, i: int, j: int) -> int:
-        above = self._above()
+        above = self._closure
         below_i = {x for x in range(len(self.nodes)) if i in above[x]}
         below_j = {x for x in range(len(self.nodes)) if j in above[x]}
         commons = below_i & below_j
@@ -360,7 +360,7 @@ class MatchingPoset:
         return tops[0]
 
     def join(self, i: int, j: int) -> int:
-        above = self._above()
+        above = self._closure
         commons = above[i] & above[j]
         bottoms = [x for x in commons if not any(y != x and x in above[y] for y in commons)]
         if len(bottoms) != 1:
@@ -391,13 +391,13 @@ def matching_poset(graph: PlabicGraph, boundary: Sequence[int]) -> MatchingPoset
     index = {m: i for i, m in enumerate(nodes)}
     covers = []
     internal = [f for f in graph.faces() if f.kind == "internal"]
+    halves = boundary_matrix(graph, "min").halves
     for m in nodes:
         for f in internal:
             flipped = _swivelable(graph, m, f)
             if flipped is None:
                 continue
-            down_half = {e for e in f.edges if graph.directly_downstream(e) == f.id}
-            if set(m) & set(f.edges) == down_half:
+            if set(m) & set(f.edges) == halves[f.id]:
                 covers.append((index[m], index[flipped], f.id))
     # connectivity check
     seen = {0}

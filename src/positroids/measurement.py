@@ -9,26 +9,29 @@ All identities are checked by exact evaluation.
 
 What depends on the graph alone is built once per graph and memoized on it:
 the perfect orientation of the Gale-minimal matching (its arcs, topological
-order, sources and column signs), the extremal matchings of every face in
-each direction, and the faces and counts that the inverse monomial map
-reads.  A call with a weighting or a face vector does only its arithmetic.
+order, sources and column signs) here, and in ``matchings`` the extremal
+matchings of every face in each direction and the boundary matrix ∂, whose
+columns and counts B_f the inverse monomial map, the Laurent exponents and
+the monodromy's edge cycle read.  A call with a weighting or a face vector
+does only its arithmetic.
 """
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import gale_min
 from .errors import PreconditionError
 from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, twist
 from .matchings import (
+    boundary_matrix,
     enumerate_matchings,
     extremal_matching,
-    incidence_data,
+    face_exponents,
     matching_boundary,
 )
 from .plabic import PlabicGraph
@@ -234,58 +237,24 @@ def monomial_map(graph: PlabicGraph, weights: dict, direction: str) -> dict:
     }
 
 
-class _Inverse(NamedTuple):
-    """What the inverse monomial map reads of the graph, in one direction."""
-
-    divisors: dict  # edge -> the faces whose coordinates divide its weight
-    exponents: tuple  # (face id, B_f - 1) for each face with B_f != 1
-    vertex: str  # where the gauge factor applies
-
-
-def _invert(graph: PlabicGraph, direction: str) -> _Inverse:
-    directly = graph.directly_downstream if direction == "min" else graph.directly_upstream
-    dd = {e: directly(e) for e in graph.edges}
-    divisors = {}
-    for e, (u, w) in graph.edges.items():
-        if graph.is_boundary(u) or graph.is_boundary(w):
-            divisors[e] = (dd[e],)
-        else:
-            adjacent = graph.edge_faces(e)
-            if len(adjacent) == 1:  # lollipop edge: face on both sides
-                adjacent = adjacent * 2
-            divisors[e] = adjacent
-    b = Counter(dd.values())
-    exponents = tuple((f.id, b[f.id] - 1) for f in graph.faces() if b[f.id] != 1)
-    vertex = min(graph.colors)
-    return _Inverse(divisors, exponents, vertex)
-
-
 def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
     """Inverse of the monomial map, as (weights, gauge note).
 
-    The raw inverse weights an edge by the reciprocal of its incident face
-    coordinates (via the boundary matrix of the chosen wedge direction); a
+    The raw inverse weights an edge by the reciprocal of the face coordinates
+    in its column of the boundary matrix ∂ of the chosen wedge direction; a
     single gauge factor prod_f x_f^{B_f - 1} applied at one recorded vertex
-    restores the correct class, so every matching monomial is exact.  The
-    faces each edge reads, the counts B_f and the vertex depend on the graph
-    alone and are built once per direction.
+    restores the correct class, so every matching monomial is exact.  ∂ and
+    the counts B_f depend on the graph alone and are built once per
+    direction (``matchings.boundary_matrix``).
     """
     graph.require_reduced()
     x = {fid: as_fraction(v) for fid, v in face_vector.items()}
-    if direction not in ("min", "max"):
-        raise ValueError(f"bad direction {direction!r}")
-    plan = graph._memo(("inverse", direction), lambda: _invert(graph, direction))
-    weights = {}
-    for e, faces in plan.divisors.items():
-        if len(faces) == 1:
-            weights[e] = 1 / x[faces[0]]
-        else:
-            weights[e] = 1 / (x[faces[0]] * x[faces[1]])
-    gauge_value = Q(1)
-    for fid, exponent in plan.exponents:
-        gauge_value *= x[fid] ** exponent
-    weights = gauge_apply(graph, weights, {plan.vertex: gauge_value})
-    return weights, {"vertex": plan.vertex, "factor": gauge_value}
+    plan = boundary_matrix(graph, direction)
+    weights = {e: 1 / x[f[0]] if len(f) == 1 else 1 / (x[f[0]] * x[f[1]]) for e, f in plan.divisors.items()}
+    gauge_value = prod((x[fid] ** (len(h) - 1) for fid, h in plan.halves.items() if len(h) != 1), start=Q(1))
+    vertex = min(graph.colors)
+    weights = gauge_apply(graph, weights, {vertex: gauge_value})
+    return weights, {"vertex": vertex, "factor": gauge_value}
 
 
 def gauge_fix(graph: PlabicGraph, weights: dict, targets: dict) -> dict:
@@ -321,12 +290,11 @@ def face_edge_cycle(graph: PlabicGraph, face_id: str) -> list[str]:
     face = graph.face_by_id(face_id)
     if face.kind != "internal":
         raise ValueError(f"face {face_id} is not internal")
-    cycle = list(face.edges)
-    starts = [e for e in cycle if graph.directly_downstream(e) == face_id]
-    if not starts:
+    half = boundary_matrix(graph, "min").halves[face_id]
+    if not half:
         raise AssertionError("face has no directly-downstream edge")
-    start = min(starts)
-    idx = cycle.index(start)
+    cycle = list(face.edges)
+    idx = cycle.index(min(half))
     return cycle[idx:] + cycle[:idx]
 
 
@@ -374,10 +342,9 @@ def twisted_pluecker_laurent(graph: PlabicGraph, subset: Sequence[int]) -> list[
     source-label face Pluckers; one term per matching with boundary J."""
     graph.require_reduced()
     J = tuple(sorted(subset))
-    data = incidence_data(graph)
     terms = []
     for m in enumerate_matchings(graph, J):
-        exponents = {fid: -x for fid, x in data.face_exponents(m).items()}
+        exponents = {fid: -x for fid, x in face_exponents(graph, m).items()}
         terms.append(LaurentTerm(m, exponents))
     return terms
 

@@ -123,7 +123,8 @@ class PlabicGraph:
     def from_json(cls, payload: dict) -> "PlabicGraph":
         """Internal vertex ids, edge ids and rotation entries must be non-empty
         strings and boundary vertices ints in [1, n] (not bools), since
-        ``is_boundary`` tells them apart by type."""
+        ``is_boundary`` tells them apart by type.  Ids must not repeat, every
+        edge has two ends, and only internal vertices have rotations."""
         payload = json_shape(payload, dict, "a graph")
         n = payload["n"]
         if type(n) is not int:
@@ -131,11 +132,19 @@ class PlabicGraph:
         colors = {}
         for v in json_shape(payload["internal"], list, "internal"):
             v = json_shape(v, dict, "an internal vertex")
-            colors[_name(v["id"], "internal vertex id")] = v["color"]
+            vid = _name(v["id"], "internal vertex id")
+            if vid in colors:
+                raise ValueError(f"internal vertex id {vid!r} is repeated")
+            colors[vid] = v["color"]
         edges = {}
         for e in json_shape(payload["edges"], list, "edges"):
             eid = _name(json_shape(e, dict, "an edge")["id"], "edge id")
-            u, w = json_shape(e["ends"], list, f"the ends of edge {eid!r}")
+            if eid in edges:
+                raise ValueError(f"edge id {eid!r} is repeated")
+            ends = json_shape(e["ends"], list, f"the ends of edge {eid!r}")
+            if len(ends) != 2:
+                raise ValueError(f"edge {eid!r} has {len(ends)} ends, not 2")
+            u, w = ends
             for x in (u, w):
                 if not (isinstance(x, str) and x) and not (type(x) is int and 1 <= x <= n):
                     raise ValueError(
@@ -144,6 +153,8 @@ class PlabicGraph:
             edges[eid] = (u, w)
         rotations = {}
         for v, r in json_shape(payload["rotation"], dict, "rotation").items():
+            if v not in colors:
+                raise ValueError(f"rotation at {v!r}, which is not an internal vertex id")
             rotations[v] = [
                 _name(e, f"rotation entry at {v!r}")
                 for e in json_shape(r, list, f"rotation at {v!r}")

@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -178,6 +182,21 @@ def square4_with(where, value):
     return json.dumps(payload)
 
 
+def square4_edited(edit):
+    """square4's JSON after edit(payload) has changed it in place."""
+    payload = json.loads((FIXTURES / "square4.json").read_text())
+    edit(payload)
+    return json.dumps(payload)
+
+
+def repeat_edge(payload):
+    payload["edges"].append(next(e for e in payload["edges"] if e["id"] == "s12"))
+
+
+def recolor_repeat(payload):
+    payload["internal"].append({"id": "v1", "color": "black"})
+
+
 MALFORMED = {
     "not-json": (("inspect",), "not json"),
     "float-in-matrix": (("twist", "--right"), json.dumps({"rows": [[1.5, 2], [0, 1]]})),
@@ -216,6 +235,20 @@ MALFORMED = {
     "boundary-below-range": (("matchings", "--boundary", "0,2"), (FIXTURES / "square4.json").read_text()),
     "boundary-repeated": (("matchings", "--boundary", "1,1"), (FIXTURES / "square4.json").read_text()),
     "boundary-wrong-size": (("matchings", "--boundary", "1,2,3"), (FIXTURES / "square4.json").read_text()),
+    "repeated-edge-id": (("inspect",), square4_edited(repeat_edge)),
+    "ghost-rotation": (("inspect",), square4_edited(lambda p: p["rotation"].update(ghost=["nope"]))),
+    "repeated-internal-id": (("inspect",), square4_edited(recolor_repeat)),
+    "three-ends": (("inspect",), square4_edited(lambda p: p["edges"][4]["ends"].append("v3"))),
+    "one-end": (("inspect",), square4_edited(lambda p: p["edges"][4]["ends"].pop())),
+}
+
+# the id that the one-line error must name
+MALFORMED_NAMES = {
+    "repeated-edge-id": "s12",
+    "ghost-rotation": "ghost",
+    "repeated-internal-id": "v1",
+    "three-ends": "s12",
+    "one-end": "s12",
 }
 
 
@@ -238,6 +271,8 @@ def test_malformed_input_exit_code(tmp_path, case):
     result = run_cli_result(command, *args, expect=1)
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1, result.stderr
+    if case in MALFORMED_NAMES:
+        assert repr(MALFORMED_NAMES[case]) in result.stderr, result.stderr
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
@@ -275,3 +310,72 @@ def test_golden_inspect_outputs():
         name = path.stem.removeprefix("inspect_")
         fresh = json.loads(run_cli("inspect", name))
         assert fresh == json.loads(path.read_text()), name
+
+
+# ways to break a graph file: (kind, a, b) edits a field picked by a and b
+FUZZ_KINDS = (
+    "rename-vertex", "rename-edge", "recolor", "end", "rotation-shuffle",
+    "rotation-drop", "rotation-key", "drop-vertex", "drop-edge", "n",
+)
+
+
+def fuzz_edit(payload, kind, a, b):
+    """Apply one edit of the given kind to the graph payload in place."""
+    vertices, edges, rotation = payload["internal"], payload["edges"], payload["rotation"]
+    keys = sorted(rotation)
+    entries = rotation[keys[a % len(keys)]] if keys else []
+    if not (vertices and edges and entries):
+        return  # an earlier edit emptied what this one would change
+    if kind == "rename-vertex":
+        vertices[a % len(vertices)]["id"] = ["v1", "w", 3, "", None][b % 5]
+    elif kind == "rename-edge":
+        edges[a % len(edges)]["id"] = [edges[b % len(edges)]["id"], "x", 0, ""][b % 4]
+    elif kind == "recolor":
+        vertices[a % len(vertices)]["color"] = ["white", "black", "red", 1][b % 4]
+    elif kind == "end":
+        ends = edges[a % len(edges)]["ends"]
+        ends[b % 2] = [vertices[b % len(vertices)]["id"], b % 12, "ghost", True, [1]][a % 5]
+    elif kind == "rotation-shuffle":
+        entries.insert(b % len(entries), entries.pop(0))
+    elif kind == "rotation-drop":
+        del entries[b % len(entries)]
+    elif kind == "rotation-key":
+        rotation[["ghost", "1", keys[b % len(keys)] + "x"][a % 3]] = rotation.pop(keys[b % len(keys)])
+    elif kind == "drop-vertex":
+        del vertices[a % len(vertices)]
+    elif kind == "drop-edge":
+        del edges[a % len(edges)]
+    else:
+        payload["n"] += [-1, 1, -payload["n"]][a % 3]
+
+
+def inspect_in_process(path):
+    """(exit code, stderr) of ``inspect`` on the file, run in this process."""
+    from positroids import cli
+
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            cli.main(["inspect", str(path)])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["square4", "schubert36", "d4", "hex36", "chamber_s2s1s2"]),
+    st.lists(st.tuples(st.sampled_from(FUZZ_KINDS), st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=3),
+)
+def test_mutated_graph_files_fail_in_one_line(tmp_path_factory, name, edits):
+    payload = json.loads((FIXTURES / f"{name}.json").read_text())
+    for kind, a, b in edits:
+        fuzz_edit(payload, kind, a, b)
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(json.dumps(payload))
+    code, err = inspect_in_process(path)
+    # 0 valid, 1 malformed, 2 a failed precondition; never a traceback or exit 3
+    assert code in (0, 1, 2), err
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err

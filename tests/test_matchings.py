@@ -8,6 +8,7 @@ from positroids import fixtures
 from positroids.core import BoundedAffinePermutation
 from positroids.errors import PreconditionError
 from positroids.matchings import (
+    boundary_matrix,
     enumerate_matchings,
     extremal_matching,
     face_exponents,
@@ -168,7 +169,7 @@ def test_face_exponents_match_dense_rows(name):
     g = fixtures.load(name)
     data = incidence_data(g)
     for m in enumerate_matchings(g):
-        assert data.face_exponents(m) == dense_face_exponents(data, m)
+        assert face_exponents(g, m) == dense_face_exponents(data, m)
 
 
 def test_swivel_directions(square4):
@@ -228,7 +229,7 @@ def test_up_swivels_are_acyclic(schubert36, d4):
 
         for boundary in sorted(graph_positroid(g).bases):
             poset = matching_poset(g, boundary)
-            above = poset._above()
+            above = poset._closure
             for i in range(len(poset.nodes)):
                 assert all(j != i for j in above[i] - {i})
 
@@ -315,3 +316,61 @@ def test_extremal_matching_check_keeps_its_message(monkeypatch):
         extremal_matching(g, "f1", "min")
     with pytest.raises(ValueError, match="bad direction"):
         extremal_matching(g, "f1", "sideways")
+
+
+def oracle_inverse(graph, direction):
+    """What the inverse monomial map reads, derived edge by edge: each edge's
+    divisor faces (the directly-downstream one at the boundary, both faces
+    beside it inside, one face twice on a lollipop edge) and (f, B_f - 1)
+    for each face with B_f != 1, in face order."""
+    directly = graph.directly_downstream if direction == "min" else graph.directly_upstream
+    dd = {e: directly(e) for e in graph.edges}
+    divisors = {}
+    for e, (u, w) in graph.edges.items():
+        if graph.is_boundary(u) or graph.is_boundary(w):
+            divisors[e] = (dd[e],)
+        else:
+            adjacent = graph.edge_faces(e)
+            divisors[e] = adjacent * 2 if len(adjacent) == 1 else adjacent
+    b = Counter(dd.values())
+    return divisors, [(f.id, b[f.id] - 1) for f in graph.faces() if b[f.id] != 1]
+
+
+def oracle_dense_rows(graph, direction):
+    """Dense rows of ∂ over sorted edges and B_f, face against edge: a
+    boundary edge's entry is 1 at its directly-downstream face, an internal
+    edge's at each face beside it."""
+    directly = graph.directly_downstream if direction == "min" else graph.directly_upstream
+    edge_order = sorted(graph.edges)
+    dd = {e: directly(e) for e in edge_order}
+    d_fe = []
+    for f in graph.faces():
+        row = []
+        for e in edge_order:
+            u, w = graph.edges[e]
+            if graph.is_boundary(u) or graph.is_boundary(w):
+                row.append(1 if dd[e] == f.id else 0)
+            else:
+                row.append(1 if f.id in graph.edge_faces(e) else 0)
+        d_fe.append(tuple(row))
+    b = {f.id: sum(1 for e in edge_order if dd[e] == f.id) for f in graph.faces()}
+    return tuple(d_fe), b
+
+
+def test_boundary_matrix_matches_the_edge_by_edge_derivations():
+    count = 0
+    for g in plan_graphs():
+        edge_order = sorted(g.edges)
+        for direction in ("min", "max"):
+            plan = boundary_matrix(g, direction)
+            divisors, exponents = oracle_inverse(g, direction)
+            assert plan.divisors == divisors
+            assert [(fid, len(h) - 1) for fid, h in plan.halves.items() if len(h) != 1] == exponents
+            d_fe, b = oracle_dense_rows(g, direction)
+            assert tuple(tuple(int(f in plan.divisors[e]) for e in edge_order) for f in plan.halves) == d_fe
+            assert {fid: len(h) for fid, h in plan.halves.items()} == b
+            if direction == "min":
+                data = incidence_data(g)
+                assert (data.d_fe, data.b) == (d_fe, b)
+        count += 1
+    assert count == 6 + 414 + 5

@@ -593,7 +593,7 @@ def test_boundary_measurement_matrix_matches_the_per_call_orientation():
 
 def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
     builds = []
-    for module, name in ((measurement, "_orient"), (measurement, "_invert"), (matchings, "_extremal_matchings")):
+    for module, name in ((measurement, "_orient"), (matchings, "_boundary_matrix"), (matchings, "_extremal_matchings")):
 
         def counting(*args, _original=getattr(module, name), _name=name):
             builds.append((_name, *args[1:]))
@@ -607,9 +607,9 @@ def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
     cli.main(["verify", "d4", "--trials", "2"])
     assert json.loads(capsys.readouterr().out)["all_passed"]
     assert sorted(builds) == [
+        ("_boundary_matrix", False),
         ("_extremal_matchings", False),
         ("_extremal_matchings", True),
-        ("_invert", "min"),
         ("_orient",),
     ]
     # one downstream and one upstream wedge per edge

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_bounded_affine, random_bounded_affine
+from positroids import fixtures
 from positroids.core import BoundedAffinePermutation, length
+from positroids.linalg import minor
 from positroids.matchings import graph_positroid
-from positroids.measurement import measure, random_weighting, verify_diagram
+from positroids.measurement import boundary_measurement_matrix, measure, random_weighting, verify_diagram
 from positroids.moves import (
     Move,
     add_boundary_vertex,
@@ -98,6 +100,35 @@ def test_urban_renewal_preserves_measure(schubert36, d4):
             res = urban_renewal(g, fid, z)
             assert measure(res.graph, res.weights) == p
             assert graph_positroid(res.graph).bases == graph_positroid(g).bases
+
+
+def exchange_graphs():
+    """The fixtures and the top cells Gr(3,6), Gr(4,8), Gr(4,9) and Gr(5,10)."""
+    yield from map(fixtures.load, sorted(fixtures.BUILDERS))
+    for k, n in ((3, 6), (4, 8), (4, 9), (5, 10)):
+        yield synthesize(BoundedAffinePermutation(tuple(range(k + 1, k + n + 1))))
+
+
+def test_urban_renewal_is_the_exchange_relation():
+    # renewing square f trades its label I for I'; with a, b, c, d the labels
+    # across its edges in walk order, p[I] p[I'] = p[a] p[c] + p[b] p[d]
+    rng = random.Random(36)
+    squares = 0
+    for g in exchange_graphs():
+        A, _ = boundary_measurement_matrix(g, random_weighting(g, rng))
+        labels = g.face_labels("source")
+        for f in g.faces():
+            if f.kind != "internal" or len(f.edges) != 4 or len(set(f.edges)) != 4:
+                continue
+            renewed = urban_renewal(g, f.id, {e: 1 for e in g.edges}).graph
+            gone = set(labels.values()) - set(renewed.face_labels("source").values())
+            new = set(renewed.face_labels("source").values()) - set(labels.values())
+            assert gone == {labels[f.id]} and len(new) == 1, f.id
+            a, b, c, d = (labels[next(x for x in g.edge_faces(e) if x != f.id)] for e in f.edges)
+            (I,), (J,) = gone, new
+            assert minor(A, I) * minor(A, J) == minor(A, a) * minor(A, c) + minor(A, b) * minor(A, d)
+            squares += 1
+    assert squares == 10
 
 
 def test_moves_keep_diagram_valid(square4, schubert36):
