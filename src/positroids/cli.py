@@ -28,16 +28,30 @@ def load_graph(path: str) -> PlabicGraph:
             return fixtures.load(path)
         except FileNotFoundError:
             pass
-    payload = json.loads(Path(path).read_text())
-    return PlabicGraph.from_json(payload)
+    return PlabicGraph.from_json(read_json(path))
+
+
+def read_json(path: str):
+    """The JSON value in the file; an object that repeats a key is malformed
+    input, not one whose last value silently wins."""
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} is repeated in a JSON object")
+        out[key] = value
+    return out
 
 
 def load_matrix(path: str) -> RationalMatrix:
-    return RationalMatrix.from_json(json.loads(Path(path).read_text()))
+    return RationalMatrix.from_json(read_json(path))
 
 
 def load_weights(path: str) -> dict:
-    payload = json_shape(json.loads(Path(path).read_text()), dict, "a weights file")
+    payload = json_shape(read_json(path), dict, "a weights file")
     return {e: as_fraction(v) for e, v in payload.items()}
 
 
@@ -141,7 +155,7 @@ def cmd_synth(args) -> None:
 def cmd_move(args) -> None:
     g = load_graph(args.graph)
     z = load_weights(args.weights)
-    script = json_shape(json.loads(Path(args.spec).read_text()), list, "a move script")
+    script = json_shape(read_json(args.spec), list, "a move script")
     notes = []
     for step in script:
         step = json_shape(step, dict, "a move step")

@@ -300,14 +300,6 @@ class PlueckerVector:
             for I, v in sorted(self.coords.items())
         ]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlueckerVector)
-            and self.n == other.n
-            and self.k == other.k
-            and self.coords == other.coords
-        )
-
 
 def pluecker(matrix: RationalMatrix) -> PlueckerVector:
     """All binom(n, k) maximal minors, by one Laplace expansion along the rows.

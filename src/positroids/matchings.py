@@ -34,7 +34,9 @@ def enumerate_matchings(
 ) -> list[frozenset]:
     """All matchings, optionally only those with the given boundary subset.
 
-    Backtracking over internal vertices with unit propagation; the result is
+    Backtracking that always covers the uncovered internal vertex with the
+    fewest usable edges, trying its edges in sorted order; a branch is cut
+    as soon as some uncovered vertex has no usable edge left.  The result is
     sorted lexicographically by sorted edge-id lists, so the order is part of
     the contract.  The unfiltered list is memoized on the graph; a boundary
     is searched for directly, which costs less than filtering that list.
@@ -45,89 +47,50 @@ def enumerate_matchings(
 
 
 def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[frozenset]:
-    vertices = sorted(graph.colors)
-    incident = {v: sorted(graph.incident(v)) for v in vertices}
-    # the internal ends of each edge: the vertices to revisit once it is assigned
-    ends = {e: [x for x in dict.fromkeys(uw) if x in incident] for e, uw in graph.edges.items()}
-    state: dict[str, Optional[bool]] = {e: None for e in graph.edges}
+    # each uncovered internal vertex -> the edges it can still take
+    usable = {v: set(graph.incident(v)) for v in graph.colors}
+    ends = {e: [x for x in uw if x in usable] for e, uw in graph.edges.items()}
 
     if boundary is not None:
         want = set(boundary)
         for i in graph.boundary_vertices():
             pe = graph.pendant_edge(i)
-            white = graph.colors[graph.other_end(pe, i)] == "white"
-            state[pe] = (i in want) == white
+            v = graph.other_end(pe, i)
+            # a pendant edge that must be unused is banned; one that must be
+            # used bans every other edge at its internal end
+            used = (i in want) == (graph.colors[v] == "white")
+            banned = [f for f in usable[v] if f != pe] if used else [pe]
+            for e in banned:
+                for x in ends[e]:
+                    usable[x].discard(e)
 
     results: list[frozenset] = []
+    taken: list[str] = []
 
-    def solve(assignments):
-        trail = []
+    def rec():
+        if not usable:
+            results.append(frozenset(taken))
+            return
+        v = min(usable, key=lambda x: len(usable[x]))
+        for e in sorted(usable[v]):
+            covered = [(x, usable.pop(x)) for x in ends[e]]
+            # each other edge at e's ends, with its end that is still uncovered
+            lost = [(y, f) for _, fs in covered for f in fs for y in ends[f] if y in usable]
+            for y, f in lost:
+                usable[y].discard(f)
+            if all(usable[y] for y, _ in lost):
+                taken.append(e)
+                rec()
+                taken.pop()
+            for y, f in lost:
+                usable[y].add(f)
+            usable.update(covered)
 
-        def undo(n_true):
-            while len(trail) > n_true:
-                assignments[trail.pop()] = None
-
-        def prop(dirty):
-            """Unit propagation to a fixpoint, visiting only the vertices in
-            ``dirty`` and those incident to an edge it assigns."""
-            start = len(trail)
-            work = list(dict.fromkeys(dirty))
-            queued = set(work)
-            while work:
-                v = work.pop()
-                queued.discard(v)
-                chosen = [e for e in incident[v] if assignments[e] is True]
-                free = [e for e in incident[v] if assignments[e] is None]
-                if len(chosen) > 1 or (not chosen and not free):
-                    undo(start)
-                    return None
-                if len(chosen) == 1 and free:
-                    value = False
-                elif not chosen and len(free) == 1:
-                    value = True
-                else:
-                    continue
-                for e in free:
-                    assignments[e] = value
-                    trail.append(e)
-                    for x in ends[e]:
-                        if x != v and x not in queued:
-                            queued.add(x)
-                            work.append(x)
-            return start
-
-        def rec(dirty):
-            start = prop(dirty)
-            if start is None:
-                return
-            pivot = None
-            for v in vertices:
-                if not any(assignments[e] is True for e in incident[v]):
-                    pivot = v
-                    break
-            if pivot is None:
-                results.append(frozenset(e for e, val in assignments.items() if val))
-            else:
-                options = [e for e in incident[pivot] if assignments[e] is None]
-                for i, e in enumerate(options):
-                    assignments[e] = True
-                    trail.append(e)
-                    # e and the options set False before it are the new assignments
-                    rec([x for f in options[: i + 1] for x in ends[f]])
-                    undo(len(trail) - 1)
-                    assignments[e] = False
-                    trail.append(e)
-                for _ in options:
-                    assignments[trail.pop()] = None
-            undo(start)
-
-        rec(vertices)
-        # rec refers to itself through its closure; break that cycle so the
-        # matchings it holds are freed by reference counting, not by a later
-        # full garbage collection
-        del rec
-
-    solve(state)
+    rec()
+    # rec refers to itself through its closure; break that cycle so the
+    # matchings it holds are freed by reference counting, not by a later
+    # full garbage collection
+    del rec
     return sorted(results, key=lambda m: tuple(sorted(m)))
 
 

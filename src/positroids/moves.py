@@ -14,7 +14,7 @@ from typing import Optional
 from .core import BoundedAffinePermutation
 from .linalg import Q, as_fraction
 from .errors import json_shape
-from .plabic import GraphError, PlabicGraph
+from .plabic import PlabicGraph
 
 
 @dataclass(frozen=True)
@@ -229,18 +229,12 @@ def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult
         edges.pop(e)
         new_weights.pop(e)
 
-    def with_inner_rotations(flip: bool) -> PlabicGraph:
-        for idx, v in enumerate(corners):
-            arriving = new_sq[idx]
-            leaving = new_sq[(idx + 1) % 4]
-            pair = [leaving, arriving] if flip else [arriving, leaving]
-            rotations[inner[v]] = [spoke[v]] + pair
-        return PlabicGraph(graph.n, colors, edges, rotations)
-
-    try:
-        g2 = with_inner_rotations(False)
-    except GraphError:  # the other cyclic order at the inner vertices embeds
-        g2 = with_inner_rotations(True)
+    # face walks keep the face on their left, so the corners always come in
+    # the same rotational order: each inner vertex sees its spoke, then the
+    # square edge arriving from the previous corner, then the one leaving
+    for idx, v in enumerate(corners):
+        rotations[inner[v]] = [spoke[v], new_sq[idx], new_sq[(idx + 1) % 4]]
+    g2 = PlabicGraph(graph.n, colors, edges, rotations)
     gauge_vertex = min(g2.colors)
     for e in g2.incident(gauge_vertex):
         new_weights[e] = new_weights[e] * denom

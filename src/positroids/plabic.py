@@ -123,8 +123,9 @@ class PlabicGraph:
     def from_json(cls, payload: dict) -> "PlabicGraph":
         """Internal vertex ids, edge ids and rotation entries must be non-empty
         strings and boundary vertices ints in [1, n] (not bools), since
-        ``is_boundary`` tells them apart by type.  Ids must not repeat, every
-        edge has two ends, and only internal vertices have rotations."""
+        ``is_boundary`` tells them apart by type.  Ids must not repeat, colors
+        are white or black, every edge has two ends, and only internal
+        vertices have rotations."""
         payload = json_shape(payload, dict, "a graph")
         n = payload["n"]
         if type(n) is not int:
@@ -135,7 +136,10 @@ class PlabicGraph:
             vid = _name(v["id"], "internal vertex id")
             if vid in colors:
                 raise ValueError(f"internal vertex id {vid!r} is repeated")
-            colors[vid] = v["color"]
+            color = v["color"]
+            if color not in ("white", "black"):
+                raise ValueError(f"internal vertex {vid!r} has bad color {color!r}")
+            colors[vid] = color
         edges = {}
         for e in json_shape(payload["edges"], list, "edges"):
             eid = _name(json_shape(e, dict, "an edge")["id"], "edge id")

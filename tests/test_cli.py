@@ -189,6 +189,17 @@ def square4_edited(edit):
     return json.dumps(payload)
 
 
+def with_repeated_key(text, after, key, value):
+    """The JSON text with ``"key": value`` inserted just after its first
+    occurrence of ``after``, so that an object repeats the key."""
+    return text.replace(after, f"{after}{json.dumps(key)}: {json.dumps(value)}, ", 1)
+
+
+def square4_weights():
+    graph = json.loads((FIXTURES / "square4.json").read_text())
+    return json.dumps({e["id"]: "1" for e in graph["edges"]})
+
+
 def repeat_edge(payload):
     payload["edges"].append(next(e for e in payload["edges"] if e["id"] == "s12"))
 
@@ -240,6 +251,13 @@ MALFORMED = {
     "repeated-internal-id": (("inspect",), square4_edited(recolor_repeat)),
     "three-ends": (("inspect",), square4_edited(lambda p: p["edges"][4]["ends"].append("v3"))),
     "one-end": (("inspect",), square4_edited(lambda p: p["edges"][4]["ends"].pop())),
+    "bad-color": (("inspect",), square4_edited(lambda p: p["internal"][0].update(color="red"))),
+    # a second "v1" rotation ahead of the real one, and leg1 weighted twice
+    "repeated-rotation-key": (
+        ("inspect",),
+        with_repeated_key((FIXTURES / "square4.json").read_text(), '"rotation": {', "v1", ["zzz"]),
+    ),
+    "repeated-weight": (("measure", "square4"), with_repeated_key(square4_weights(), "{", "leg1", "2")),
 }
 
 # the id that the one-line error must name
@@ -249,6 +267,9 @@ MALFORMED_NAMES = {
     "repeated-internal-id": "v1",
     "three-ends": "s12",
     "one-end": "s12",
+    "bad-color": "v1",
+    "repeated-rotation-key": "v1",
+    "repeated-weight": "leg1",
 }
 
 

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations, product
 
 import pytest
 from conftest import all_bounded_affine, plan_graphs
@@ -289,6 +290,45 @@ def test_boundary_search_matches_filter_on_synthesized_graphs():
     for n in range(1, 6):
         for pi in all_bounded_affine(n):
             assert_boundary_search_matches_filter(synthesize(pi))
+
+
+def brute_force_matchings(graph):
+    """Every edge subset that covers each internal vertex exactly once, found
+    by trying all 2^|E| subsets, in the enumerator's order."""
+    edges = sorted(graph.edges)
+    found = []
+    for picks in product((False, True), repeat=len(edges)):
+        chosen = {e for e, pick in zip(edges, picks) if pick}
+        if all(sum(e in chosen for e in graph.incident(v)) == 1 for v in graph.colors):
+            found.append(frozenset(chosen))
+    return sorted(found, key=lambda m: tuple(sorted(m)))
+
+
+def square4_doubled(square4, both):
+    """square4 with a parallel copy of s12 and, if both, of s34 too: graphs
+    that are not reduced, on which measurement itself enumerates."""
+    edges = {**square4.edges, "dup12": ("v1", "v2")}
+    rotations = {
+        **square4.rotations,
+        "v1": ("leg1", "s12", "dup12", "s41"),
+        "v2": ("dup12", "s12", "leg2", "s23"),
+    }
+    if both:
+        edges["dup34"] = ("v3", "v4")
+        rotations["v3"] = ("s34", "dup34", "s23", "leg3")
+        rotations["v4"] = ("leg4", "s41", "dup34", "s34")
+    return PlabicGraph(4, dict(square4.colors), edges, rotations)
+
+
+def test_enumeration_matches_brute_force_on_small_graphs(square4):
+    graphs = [square4_doubled(square4, both) for both in (False, True)]
+    assert not any(g.is_reduced()[0] for g in graphs)
+    graphs += [synthesize(pi) for n in range(1, 5) for pi in all_bounded_affine(n)]
+    for g in graphs:
+        everything = brute_force_matchings(g)
+        assert enumerate_matchings(g) == everything
+        for J in combinations(g.boundary_vertices(), g.k):
+            assert enumerate_matchings(g, J) == [m for m in everything if matching_boundary(g, m) == J]
 
 
 def oracle_extremal_matching(graph, face_id, direction):
