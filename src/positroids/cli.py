@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints a deterministic JSON payload on stdout.  Exit codes:
-0 success, 1 malformed input, 2 a mathematical precondition failed (with a
+0 success, 1 malformed input (argument usage errors too, each on one
+``error:`` line), 2 a mathematical precondition failed (with a
 witness in the error message), 3 an internal invariant broke (a bug).
 """
 from __future__ import annotations
@@ -233,12 +234,22 @@ def cmd_regen_golden(args) -> None:
     emit({"written": [str(p) for p in paths]})
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: one ``error:`` line and exit 1,
+    not argparse's usage message and exit 2, the precondition code.  The
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process.
 
     It holds no handler: ``main`` looks up ``cmd_<command>`` at call time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="positroids",
         description="plabic graphs, matchings, boundary measurement and the twist",
     )

@@ -191,7 +191,8 @@ def _build_incidence_data(graph: PlabicGraph) -> IncidenceData:
     plan = boundary_matrix(graph, "min")
     minimal = [extremal_matching(graph, fid, "min") for fid in face_order]
     u_ef = tuple(tuple(int(e in m) for m in minimal) for e in edge_order)
-    u_ev = tuple(tuple(int(v in graph.downstream(e)[1]) for v in vertex_order) for e in edge_order)
+    below = [graph.downstream(e)[1] for e in edge_order]
+    u_ev = tuple(tuple(int(v in down) for v in vertex_order) for down in below)
     d_fe = tuple(tuple(int(fid in plan.divisors[e]) for e in edge_order) for fid in face_order)
     d_ve = tuple(tuple(int(v in graph.edges[e]) for e in edge_order) for v in vertex_order)
     b = {fid: len(plan.halves[fid]) for fid in face_order}
@@ -212,13 +213,18 @@ def extremal_matching(graph: PlabicGraph, face_id: str, direction: str) -> froze
 
 
 def _extremal_matchings(graph: PlabicGraph, upstream: bool) -> dict:
-    """Face id -> the edges whose upstream (or downstream) wedge holds it."""
-    wedge = graph.upstream if upstream else graph.downstream
-    edges = {f.id: [] for f in graph.faces()}
-    for e in graph.edges:
-        for fid in wedge(e)[0]:
-            edges[fid].append(e)
-    return {fid: _checked_matching(graph, fid, frozenset(es)) for fid, es in edges.items()}
+    """Face id -> the edges whose upstream (or downstream) wedge holds it,
+    read off the set face bits of each edge's wedge mask."""
+    faces = graph.faces()
+    edges = [[] for _ in faces]
+    face_bits = (1 << len(faces)) - 1
+    for e, mask in graph._wedges(upstream).items():
+        mask &= face_bits
+        while mask:
+            low = mask & -mask
+            edges[low.bit_length() - 1].append(e)
+            mask ^= low
+    return {f.id: _checked_matching(graph, f.id, frozenset(es)) for f, es in zip(faces, edges)}
 
 
 def _checked_matching(graph: PlabicGraph, face_id: str, edges: frozenset) -> frozenset:

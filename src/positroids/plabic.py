@@ -4,11 +4,14 @@ A graph is described by its boundary size n (vertices 1..n clockwise on the
 disc, each of degree one), internal vertices with a 2-coloring, edges with
 ids, and the clockwise cyclic order of edge ids around each internal vertex.
 Faces, strands, the trip permutation and downstream/upstream wedges are all
-derived from this combinatorial map.  Face labels and wedges both come from
-one cut of the strand diagram: block a set of strand pieces and search the
-atoms (face cores and internal vertices) that the pieces separate.  Atoms
-and pieces get integer ids once per graph, strand by strand, so the pieces
-of a strand from any crossing on are one range of ids.
+derived from this combinatorial map.  Face labels and wedges both are one
+side of an arc of strand pieces across the strand diagram, whose atoms (face
+cores and internal vertices) the pieces separate.  Atoms and pieces get
+integer ids once per graph, strand by strand, so the pieces of a strand from
+any crossing on are one range of ids.  One spanning tree of the atom graph
+gives each piece a bitmask, the XOR of the subtree masks of its strand's
+pieces from it on; a side of a strand is one such mask, and a wedge the XOR
+of two (four upstream).
 
 Strand traversal rule: a strand crossing an edge toward a white vertex leaves
 along the next incident edge clockwise; toward a black vertex it leaves along
@@ -60,13 +63,14 @@ class _FaceIndex(NamedTuple):
 
 
 class _Atoms(NamedTuple):
-    """The atom graph of the strand diagram, with integer ids: faces
-    0..F-1 in ``faces()`` order, then the internal vertices."""
+    """The atom graph of the strand diagram, with integer ids (faces 0..F-1
+    in ``faces()`` order, then the internal vertices), spanned by one tree."""
 
     face: dict  # face id -> atom id
     vertex: dict  # internal vertex -> atom id
-    pieces: dict  # crossing -> (first piece id of its strand, its own, one past the last)
-    neighbors: list  # atom id -> ((neighbor atom id, piece id), ...)
+    pieces: dict  # crossing -> (first piece id of its strand, its own)
+    suffix: list  # piece id -> XOR of the subtree masks of its strand's pieces from it on
+    every: int  # the mask of all atoms
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,10 @@ class PlabicGraph:
     boundary vertex, the rotation successors) is built once, before
     validation.  Validation traces the faces once, together with their maps
     by id, by boundary arc and by edge; strands, labels and wedges are
-    computed on first use, the last two by one cut-and-search of the atom
-    graph, whose left-of-strand sets both label modes share.  All of it is
-    memoized on the graph.
+    computed on first use, the last two from the suffix masks of one
+    spanning tree of the atom graph: a strand's left faces (which both label
+    modes share) from one mask, each edge's wedge in each direction from an
+    XOR of its crossings' masks.  All of it is memoized on the graph.
     """
 
     def __init__(self, n, colors, edges, rotations):
@@ -465,11 +470,19 @@ class PlabicGraph:
     # the strand diagram.  Between two crossings a strand cuts one corner: the
     # piece separates the internal vertex from the face at that corner, and is
     # named by the crossing (edge, toward_vertex) it follows.  The atoms it
-    # separates are the faces and the internal vertices.  A boundary vertex
-    # needs no atom: its two end stubs fence it off from the two boundary
-    # faces beside it, as the corners next to them fence off the pendant
-    # edge's internal end, and no cut below opens the way through the boundary
-    # vertex while closing the way round that end.
+    # separates are the faces and the internal vertices, and the pieces are
+    # the edges of the atom graph.  A boundary vertex needs no atom: its two
+    # end stubs fence it off from the two boundary faces beside it, as the
+    # corners next to them fence off the pendant edge's internal end.
+    #
+    # In a reduced graph a strand never crosses itself, and two strands that
+    # cross twice do so in opposite orders, so a whole strand, or the two
+    # half-strands leaving (or entering) an edge, form a simple arc across
+    # the disc.  Its pieces are then exactly the atom-graph edges between the
+    # arc's two sides, and an atom lies across the arc from atom 0 iff its
+    # path in one spanning tree crosses the arc an odd number of times.  With
+    # each tree piece carrying the bitmask of the subtree below it, the side
+    # away from atom 0 is the XOR of the masks of the arc's pieces.
 
     def face_labels(self, mode: str) -> dict:
         """Map face id -> sorted tuple of strand sources (or targets)."""
@@ -491,19 +504,18 @@ class PlabicGraph:
         return self._memo(("left", strand.source), lambda: self._cut_left(strand))
 
     def _cut_left(self, strand: Strand) -> set[str]:
-        """Cut along every piece of the strand and search from the internal
-        end of its first edge, which lies right of the strand if white and
-        left if black."""
+        """The strand's whole arc, read from the internal end of its first
+        edge, which lies right of the strand if white and left if black."""
         (e0, v), (e1, _) = strand.path[:2]
         atoms = self._atoms()
-        start, _, end = atoms.pieces[strand.path[0]]
-        side = self._region(set(range(start, end)), [atoms.vertex[v]])
-        if side[atoms.face[self._corner_face(v, e0, e1).id]]:
+        start, _ = atoms.pieces[strand.path[0]]
+        far = self._far_side(atoms.suffix[start], (v,), f"strand {strand.source}")
+        if not far >> atoms.face[self._corner_face(v, e0, e1).id] & 1:
             raise AssertionError(
                 f"strand {strand.source} does not cut its first corner face from vertex {v!r}"
             )
         white = self.colors[v] == "white"
-        return {f.id for f, inside in zip(self.faces(), side) if inside != white}
+        return {f.id for a, f in enumerate(self.faces()) if (far >> a & 1) == white}
 
     def _corner_face(self, v, e_in, e_out) -> Face:
         """The face a strand cuts off at internal v, turning from e_in to e_out."""
@@ -512,65 +524,93 @@ class PlabicGraph:
         return self.face_of_corner(v, e_out, e_in)
 
     def _atoms(self) -> _Atoms:
-        return self._memo("atoms", self._cut_atoms)
+        return self._memo("atoms", self._span_atoms)
 
-    def _cut_atoms(self) -> _Atoms:
-        """Number the atoms and the pieces, and link the atoms each piece
-        separates.  Strand by strand, each crossing takes the next piece id,
-        so a strand's pieces from one crossing on are a range of ids."""
+    def _span_atoms(self) -> _Atoms:
+        """Number the atoms and the pieces, link the atoms each piece
+        separates, and span the atom graph by one breadth-first tree from
+        atom 0.  Strand by strand, each crossing takes the next piece id, so a
+        strand's pieces from one crossing on are a range of ids, and each
+        piece's suffix mask is the XOR of the subtree masks of that range."""
+        self.require_reduced()
         faces = self.faces()
         face = {f.id: a for a, f in enumerate(faces)}
         vertex = {v: a for a, v in enumerate(self.colors, start=len(faces))}
         neighbors = [[] for _ in range(len(faces) + len(vertex))]
-        pieces = {}
+        pieces, strands = {}, []
         start = 0
         for s in self.strands():
-            end = start + len(s.path)
             for piece, crossing in enumerate(s.path, start):
-                pieces[crossing] = (start, piece, end)
+                pieces[crossing] = (start, piece)
             for piece, ((e, v), (e_out, _)) in enumerate(zip(s.path, s.path[1:]), start):
                 f, x = face[self._corner_face(v, e, e_out).id], vertex[v]
                 neighbors[x].append((f, piece))
                 neighbors[f].append((x, piece))
-            start = end
-        return _Atoms(face, vertex, pieces, [tuple(x) for x in neighbors])
+            strands.append(range(start, start + len(s.path)))
+            start += len(s.path)
+        # the tree: each atom's parent atom and piece, in breadth-first order
+        parent = {0: None}
+        order = [0]
+        for x in order:
+            for y, piece in neighbors[x]:
+                if y not in parent:
+                    parent[y] = (x, piece)
+                    order.append(y)
+        if len(order) != len(neighbors):
+            raise AssertionError(
+                f"the atom graph is disconnected: atom 0 reaches {len(order)} of {len(neighbors)} atoms"
+            )
+        below = [1 << a for a in range(len(neighbors))]
+        tree = [0] * start  # piece -> the subtree mask below it, 0 off the tree
+        for y in reversed(order[1:]):
+            x, piece = parent[y]
+            tree[piece] = below[y]
+            below[x] |= below[y]
+        suffix = [0] * start
+        for r in strands:
+            acc = 0
+            for piece in reversed(r):
+                acc ^= tree[piece]
+                suffix[piece] = acc
+        return _Atoms(face, vertex, pieces, suffix, (1 << len(neighbors)) - 1)
 
-    def _region(self, blocked, seeds) -> bytearray:
-        """Mark the atoms reachable from the seed atoms without crossing a
-        blocked piece: entry a of the result is 1 iff atom a is reached."""
-        neighbors = self._atoms().neighbors
-        seen = bytearray(len(neighbors))
-        for a in seeds:
-            seen[a] = 1
-        stack = list(seeds)
-        while stack:
-            for y, piece in neighbors[stack.pop()]:
-                if not seen[y] and piece not in blocked:
-                    seen[y] = 1
-                    stack.append(y)
-        return seen
-
-    def _wedge(self, edge_id: str, upstream: bool):
-        """Atoms cut off by the two half-strands leaving (or entering) an edge.
-
-        Returns (faces, vertices): the face ids and internal vertex ids inside
-        the wedge, i.e. in the component not containing the edge itself.
-        """
+    def _far_side(self, mask: int, near, what: str) -> int:
+        """The atoms of a cut that lie away from the internal vertices
+        ``near``, given the atoms on the side away from atom 0."""
         atoms = self._atoms()
-        blocked = set()
+        sides = {mask >> atoms.vertex[v] & 1 for v in near}
+        if len(sides) != 1:
+            raise AssertionError(f"{what} has its internal ends on both sides of its cut")
+        return mask ^ atoms.every if sides.pop() else mask
+
+    def _wedges(self, upstream: bool) -> dict:
+        """Edge id -> the bitmask of the atoms in its upstream (or
+        downstream) wedge, built once per graph and direction."""
+        return self._memo(("wedges", upstream), lambda: {e: self._wedge(e, upstream) for e in self.edges})
+
+    def _wedge(self, edge_id: str, upstream: bool) -> int:
+        """Atoms cut off by the two half-strands leaving (or entering) an
+        edge: the side of their arc that does not hold the edge itself."""
+        atoms = self._atoms()
+        mask = 0
         for toward in self.edges[edge_id]:
-            start, piece, end = atoms.pieces[(edge_id, toward)]
-            blocked.update(range(start, piece) if upstream else range(piece, end))
-        seen = self._region(blocked, [atoms.vertex[x] for x in self.edges[edge_id] if not self.is_boundary(x)])
-        faces = {f.id for f, inside in zip(self.faces(), seen) if not inside}
-        vertices = {v for v, a in atoms.vertex.items() if not seen[a]}
+            start, piece = atoms.pieces[(edge_id, toward)]
+            mask ^= atoms.suffix[start] ^ atoms.suffix[piece] if upstream else atoms.suffix[piece]
+        ends = [x for x in self.edges[edge_id] if not self.is_boundary(x)]
+        return self._far_side(mask, ends, f"edge {edge_id!r}")
+
+    def _wedge_sets(self, mask: int):
+        """(faces, vertices): the face ids and internal vertex ids in a mask."""
+        atoms = self._atoms()
+        faces = {f.id for a, f in enumerate(self.faces()) if mask >> a & 1}
+        vertices = {v for v, a in atoms.vertex.items() if mask >> a & 1}
         return faces, vertices
 
     def downstream(self, edge_id: str):
-        return self._memo(("down", edge_id), lambda: self._wedge(edge_id, upstream=False))
+        return self._wedge_sets(self._wedges(False)[edge_id])
 
     def upstream(self, edge_id: str):
-        return self._memo(("up", edge_id), lambda: self._wedge(edge_id, upstream=True))
+        return self._wedge_sets(self._wedges(True)[edge_id])
 
     def directly_downstream(self, edge_id: str) -> str:
         """The unique adjacent face inside the downstream wedge of the edge."""
@@ -580,8 +620,8 @@ class PlabicGraph:
         return self._directly(edge_id, upstream=True)
 
     def _directly(self, edge_id: str, upstream: bool) -> str:
-        faces, _ = self.upstream(edge_id) if upstream else self.downstream(edge_id)
-        hits = [fid for fid in self.edge_faces(edge_id) if fid in faces]
+        mask, face = self._wedges(upstream)[edge_id], self._atoms().face
+        hits = [fid for fid in self.edge_faces(edge_id) if mask >> face[fid] & 1]
         if len(hits) != 1:
             side = "upstream" if upstream else "downstream"
             raise AssertionError(f"edge {edge_id!r} has {len(hits)} directly {side} faces")

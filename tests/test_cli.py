@@ -246,6 +246,10 @@ MALFORMED = {
     "boundary-below-range": (("matchings", "--boundary", "0,2"), (FIXTURES / "square4.json").read_text()),
     "boundary-repeated": (("matchings", "--boundary", "1,1"), (FIXTURES / "square4.json").read_text()),
     "boundary-wrong-size": (("matchings", "--boundary", "1,2,3"), (FIXTURES / "square4.json").read_text()),
+    # usage errors that argparse reports
+    "bad-label-mode": (("labels", "--mode", "foo"), (FIXTURES / "square4.json").read_text()),
+    "non-integer-trials": (("verify", "--trials", "x"), (FIXTURES / "square4.json").read_text()),
+    "synth-without-perm": (("synth",), ""),
     "repeated-edge-id": (("inspect",), square4_edited(repeat_edge)),
     "ghost-rotation": (("inspect",), square4_edited(lambda p: p["rotation"].update(ghost=["nope"]))),
     "repeated-internal-id": (("inspect",), square4_edited(recolor_repeat)),
@@ -270,6 +274,8 @@ MALFORMED_NAMES = {
     "bad-color": "v1",
     "repeated-rotation-key": "v1",
     "repeated-weight": "leg1",
+    "bad-label-mode": "foo",
+    "non-integer-trials": "x",
 }
 
 
@@ -279,8 +285,11 @@ def test_malformed_input_exit_code(tmp_path, case):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     # the bad file comes first, except a weights file, which follows its graph,
-    # and a move script, which follows a graph and good weights
-    if command == "measure":
+    # a move script, which follows a graph and good weights, and synth, which
+    # reads no file
+    if command == "synth":
+        args = list(flags)
+    elif command == "measure":
         args = [*flags, str(bad)]
     elif command == "move":
         weights = tmp_path / "w.json"
@@ -294,6 +303,11 @@ def test_malformed_input_exit_code(tmp_path, case):
     assert result.stderr.count("\n") == 1, result.stderr
     if case in MALFORMED_NAMES:
         assert repr(MALFORMED_NAMES[case]) in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["synth", "--help"]])
+def test_help_exits_0(argv):
+    assert run_cli(*argv).startswith("usage: positroids")
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

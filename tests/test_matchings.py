@@ -349,9 +349,9 @@ def test_extremal_matchings_match_the_per_face_scan():
 
 def test_extremal_matching_check_keeps_its_message(monkeypatch):
     g = fixtures.load("square4")
-    # wedges that hold no face leave every face without a matching; the
+    # wedge masks that hold no face leave every face without a matching; the
     # first face in face order is checked first
-    monkeypatch.setattr(PlabicGraph, "downstream", lambda self, e: (set(), set()))
+    monkeypatch.setattr(PlabicGraph, "_wedges", lambda self, upstream: dict.fromkeys(self.edges, 0))
     with pytest.raises(AssertionError, match="wedge edges at b1 are not a matching"):
         extremal_matching(g, "f1", "min")
     with pytest.raises(ValueError, match="bad direction"):

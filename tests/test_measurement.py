@@ -31,7 +31,7 @@ from positroids.measurement import (
 )
 from positroids.moves import synthesize
 from positroids.plabic import PlabicGraph
-from test_matchings import oracle_extremal_matching
+from test_matchings import oracle_extremal_matching, square4_doubled
 
 LETTERS = "abcdefghijklmnopqrstu"
 
@@ -361,20 +361,19 @@ def test_measure_matches_enumeration_on_sampled_cells(n):
         assert_measure_matches_enumeration(g, random_weighting(g, rng))
 
 
-def test_measure_enumerates_on_a_graph_that_is_not_reduced(square4):
-    g = PlabicGraph(
-        4,
-        dict(square4.colors),
-        {**square4.edges, "dup": ("v1", "v2")},
-        {
-            **square4.rotations,
-            "v1": ("leg1", "s12", "dup", "s41"),
-            "v2": ("dup", "s12", "leg2", "s23"),
-        },
-    )
-    assert not g.is_reduced()[0]
-    z = random_weighting(g, random.Random(33))
-    assert measure(g, z) == enumerative_measure(g, z)
+def test_measure_on_a_graph_that_is_not_reduced_merges_parallel_edges(square4):
+    # a matching takes at most one of two parallel edges, so doubling an edge
+    # measures as square4, by its path sums, with the two weights added
+    rng = random.Random(33)
+    for both in (False, True):
+        g = square4_doubled(square4, both)
+        assert not g.is_reduced()[0]
+        z = random_weighting(g, rng)
+        merged = {e: z[e] for e in square4.edges}
+        merged["s12"] += z["dup12"]
+        if both:
+            merged["s34"] += z["dup34"]
+        assert measure(g, z) == measure(square4, merged)
 
 
 def first_difference(want, got):
@@ -600,8 +599,9 @@ def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
-    wedges = []
-    wedge = PlabicGraph._wedge
+    spans, wedges = [], []
+    span, wedge = PlabicGraph._span_atoms, PlabicGraph._wedge
+    monkeypatch.setattr(PlabicGraph, "_span_atoms", lambda self: spans.append(self) or span(self))
     monkeypatch.setattr(PlabicGraph, "_wedge", lambda self, e, upstream: wedges.append(e) or wedge(self, e, upstream))
     calls = spy(monkeypatch, "minor")
     cli.main(["verify", "d4", "--trials", "2"])
@@ -612,7 +612,9 @@ def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
         ("_extremal_matchings", True),
         ("_orient",),
     ]
-    # one downstream and one upstream wedge per edge
+    # one spanning tree of the atom graph, read for one downstream and one
+    # upstream wedge per edge
+    assert len(spans) == 1
     assert len(wedges) == 2 * len(fixtures.load("d4").edges)
     # the three Laurent picks of each trial, on two matrices each
     assert len(calls["minor"]) == 3 * 2 * 2

@@ -306,29 +306,124 @@ def test_labels_match_propagation_oracle():
 
 def test_both_label_modes_share_one_cut_per_strand(monkeypatch):
     g = synthesize(BoundedAffinePermutation(tuple(range(4, 10))))
-    searches = []
-    region = PlabicGraph._region
-
-    def spy(self, blocked, seeds):
-        searches.append(seeds)
-        return region(self, blocked, seeds)
-
-    monkeypatch.setattr(PlabicGraph, "_region", spy)
+    spans, cuts = [], []
+    span, cut = PlabicGraph._span_atoms, PlabicGraph._cut_left
+    monkeypatch.setattr(PlabicGraph, "_span_atoms", lambda self: spans.append(self) or span(self))
+    monkeypatch.setattr(PlabicGraph, "_cut_left", lambda self, s: cuts.append(s.source) or cut(self, s))
     g.face_labels("source")
     g.face_labels("target")
-    assert len(searches) == g.n
+    # one spanning tree of the atom graph, read once per strand
+    assert spans == [g]
+    assert sorted(cuts) == list(g.boundary_vertices())
+
+
+def with_suffix(monkeypatch, suffix):
+    """Patch the spanning-tree plan so that piece p's suffix mask is suffix(graph, plan, p)."""
+    span = PlabicGraph._span_atoms
+
+    def patched(self):
+        atoms = span(self)
+        return atoms._replace(suffix=[suffix(self, atoms, p) for p in range(len(atoms.suffix))])
+
+    monkeypatch.setattr(PlabicGraph, "_span_atoms", patched)
 
 
 def test_cut_that_misses_its_corner_is_an_internal_error(monkeypatch, capsys):
-    region = PlabicGraph._region
-    # ignoring the blocked pieces leaves the strand's corner face on its vertex's side
-    monkeypatch.setattr(PlabicGraph, "_region", lambda self, blocked, seeds: region(self, set(), seeds))
+    # empty suffix masks leave the strand's corner face on its vertex's side
+    with_suffix(monkeypatch, lambda g, atoms, p: 0)
     with pytest.raises(AssertionError, match="strand 1 does not cut its first corner face"):
         fixtures.load("square4").face_labels("source")
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["labels", "square4", "--mode", "target"])
     assert exit_info.value.code == 3
     assert capsys.readouterr().err.startswith("internal error: strand 1 does not cut")
+
+
+def test_edge_with_ends_on_two_sides_is_an_internal_error(monkeypatch, capsys):
+    # one piece past s12 toward v1 whose mask holds v1 alone puts s12's two
+    # internal ends on opposite sides of both of its cuts
+    def suffix(g, atoms, p):
+        return 1 << atoms.vertex["v1"] if p == atoms.pieces[("s12", "v1")][1] else 0
+
+    with_suffix(monkeypatch, suffix)
+    with pytest.raises(AssertionError, match="edge 's12' has its internal ends on both sides of its cut"):
+        fixtures.load("square4").downstream("s12")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "square4", "--trials", "1"])
+    assert exit_info.value.code == 3
+    assert capsys.readouterr().err.startswith("internal error: edge 's12' has its internal ends")
+
+
+def test_disconnected_atom_graph_is_an_internal_error(monkeypatch, capsys):
+    # every piece cutting a corner of the first face leaves the other faces unlinked
+    monkeypatch.setattr(PlabicGraph, "_corner_face", lambda self, v, e_in, e_out: self.faces()[0])
+    with pytest.raises(AssertionError, match="the atom graph is disconnected"):
+        fixtures.load("square4").face_labels("source")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["labels", "square4", "--mode", "source"])
+    assert exit_info.value.code == 3
+    assert capsys.readouterr().err.startswith("internal error: the atom graph is disconnected")
+
+
+# -- wedges and strand sides against the search they replaced ---------------
+
+
+def oracle_cuts(g):
+    """(downstream, upstream, left): every edge's two wedges as (faces,
+    vertices) and every strand's left faces, each by its own search of the
+    atom graph that stops at the blocked strand pieces."""
+    links = []  # (vertex atom, face atom, the crossing whose piece cuts that corner)
+    for s in g.strands():
+        for (e, v), (e_out, _) in zip(s.path, s.path[1:]):
+            corner = g.face_of_corner(v, e, e_out) if g.colors[v] == "white" else g.face_of_corner(v, e_out, e)
+            links.append((("v", v), ("f", corner.id), (e, v)))
+
+    def reached(blocked, seeds):
+        adjacent = {}
+        for x, y, crossing in links:
+            if crossing not in blocked:
+                adjacent.setdefault(x, []).append(y)
+                adjacent.setdefault(y, []).append(x)
+        seen, stack = set(seeds), list(seeds)
+        while stack:
+            for y in adjacent.get(stack.pop(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    paths = {c: s.path for s in g.strands() for c in s.path}
+    downstream, upstream = {}, {}
+    for e, ends in g.edges.items():
+        for wedges, upward in ((downstream, False), (upstream, True)):
+            blocked = set()
+            for toward in ends:
+                path = paths[(e, toward)]
+                i = path.index((e, toward))
+                blocked.update(path[:i] if upward else path[i:])
+            seen = reached(blocked, [("v", x) for x in ends if not g.is_boundary(x)])
+            wedges[e] = (
+                {f.id for f in g.faces() if ("f", f.id) not in seen},
+                {v for v in g.colors if ("v", v) not in seen},
+            )
+    left = {}
+    for s in g.strands():
+        v = s.path[0][1]
+        seen = reached(set(s.path), [("v", v)])
+        left[s.source] = {f.id for f in g.faces() if (("f", f.id) in seen) != (g.colors[v] == "white")}
+    return downstream, upstream, left
+
+
+def test_wedges_and_strand_sides_match_the_search_oracle():
+    count = 0
+    gr12_24 = synthesize(BoundedAffinePermutation(tuple(range(13, 37))))
+    for g in (*oracle_graphs(), gr12_24):
+        downstream, upstream, left = oracle_cuts(g)
+        assert {e: g.downstream(e) for e in g.edges} == downstream, g.trip_permutation().values
+        assert {e: g.upstream(e) for e in g.edges} == upstream, g.trip_permutation().values
+        assert {s.source: g._left_faces(s) for s in g.strands()} == left, g.trip_permutation().values
+        count += 1
+    assert count == 6 + 414 + 7 + 40 + 1
 
 
 # -- the graph index against the linear scans it replaced ------------------
