@@ -69,8 +69,8 @@ def parse_subset(graph: PlabicGraph, text: str) -> tuple:
 
 
 def emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    """The payload as indented JSON with sorted keys, in one write."""
+    sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def cmd_inspect(args) -> None:

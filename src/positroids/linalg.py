@@ -10,9 +10,11 @@ columns one at a time.  ``det``, ``minor``, ``minors`` and ``rank`` use it;
 ``_scan`` feeds it the cyclic interval a, a+1, ... (or a, a-1, ...) until it
 holds a basis.  ``matrix_necklace`` makes one scan from each column; each
 twist column is solved from its own necklace scan, and ``double_twist_mu``
-reads each necklace minor from one.  ``pluecker`` alone takes all maximal
-minors at once, by a Laplace expansion along the rows that shares each
-smaller minor between every column set containing it.
+reads each necklace minor from one.  ``pluecker`` and ``support`` alone take
+all maximal minors at once, by one integer Laplace expansion along the rows
+that shares each smaller minor between every column set containing it;
+``pluecker`` divides each by its columns' scales, and ``support`` keeps the
+column sets whose integer minor is nonzero without building a Fraction.
 """
 from __future__ import annotations
 
@@ -36,7 +38,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise ValueError(f"not an exact rational: {x!r}")
 
 
@@ -301,13 +306,14 @@ class PlueckerVector:
         ]
 
 
-def pluecker(matrix: RationalMatrix) -> PlueckerVector:
-    """All binom(n, k) maximal minors, by one Laplace expansion along the rows.
+def _maximal_minors(matrix: RationalMatrix) -> tuple[dict, tuple]:
+    """The integer maximal minors of the columns cleared of denominators,
+    keyed by 0-based column sets in lexicographic order, and the scales.
 
-    Each column's denominators are cleared once.  The minor of the first r+1
-    rows on columns S expands along row r+1 into the minors of the first r
-    rows on S minus one column; each of those is computed once and shared by
-    every S that contains its columns.
+    One Laplace expansion along the rows: the minor of the first r+1 rows on
+    columns S expands along row r+1 into the minors of the first r rows on S
+    minus one column; each of those is computed once and shared by every S
+    that contains its columns.
     """
     n, k = matrix.n, matrix.k
     columns, scales = _integer_columns(matrix)
@@ -323,10 +329,27 @@ def pluecker(matrix: RationalMatrix) -> PlueckerVector:
                 sign = -sign
             expanded[S] = total
         minors = expanded
+    return minors, scales
+
+
+def pluecker(matrix: RationalMatrix) -> PlueckerVector:
+    """All binom(n, k) maximal minors: the integer minors of the cleared
+    columns, each divided by the product of its columns' scales."""
+    minors, scales = _maximal_minors(matrix)
     coords = {
         tuple(j + 1 for j in S): Q(v, prod(scales[j] for j in S)) for S, v in minors.items()
     }
-    return PlueckerVector(n, k, coords)
+    return PlueckerVector(matrix.n, matrix.k, coords)
+
+
+def support(matrix: RationalMatrix) -> list[tuple[int, ...]]:
+    """The sorted k-subsets of [n] whose maximal minor is nonzero, as
+    ``pluecker(matrix).support()`` lists them, with no Fraction built.
+
+    The column scales are positive, so the integer minors vanish exactly
+    where the rational ones do.
+    """
+    return [tuple(j + 1 for j in S) for S, v in _maximal_minors(matrix)[0].items() if v]
 
 
 def _forward_scans(columns: Sequence[Sequence[int]]):

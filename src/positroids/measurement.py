@@ -14,6 +14,12 @@ matchings of every face in each direction and the boundary matrix ∂, whose
 columns and counts B_f the inverse monomial map, the Laurent exponents and
 the monodromy's edge cycle read.  A call with a weighting or a face vector
 does only its arithmetic.
+
+That arithmetic runs on integers, and one Fraction is built per value
+returned: the path sums keep each vertex's sum as a reduced (numerator,
+denominator) pair, the monomial map divides the products of a matching's
+numerators and denominators, and the inverse map forms each edge weight and
+the gauge value from the face values' numerators and denominators.
 """
 from __future__ import annotations
 
@@ -21,12 +27,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import gale_min
 from .errors import PreconditionError
-from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, twist
+from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, support, twist
 from .matchings import (
     boundary_matrix,
     enumerate_matchings,
@@ -144,29 +150,54 @@ def boundary_measurement_matrix(
     order and the signs depend on the graph alone and are built once; each
     call runs only the path sums, in O(k E) for E edges.  scale is the
     monomial of M0; for k = 0 the matrix has no rows.
+
+    The sums run on reduced integer pairs (numerator, denominator), and one
+    Fraction is built per entry: a product cancels across as Fraction's own
+    does, with two gcds, and a sum follows Henrici's rule, which divides by
+    the gcd of the denominators first.  A denominator may be negative (1/z_e
+    for z_e < 0); the identities hold all the same, and the Fraction built
+    at the end normalizes the sign.
     """
     weights = check_weighting(graph, weights)
     plan = graph._memo("orientation", lambda: _orient(graph))
-    steps = [
-        (v, [(head, 1 / weights[e] if inverted else weights[e]) for head, e, inverted in arcs])
-        for v, arcs in plan.steps
-    ]
+    steps = []
+    for v, arcs in plan.steps:
+        pairs = []
+        for head, e, inverted in arcs:
+            num, den = weights[e].as_integer_ratio()
+            pairs.append((head, den, num) if inverted else (head, num, den))
+        steps.append((v, pairs))
+    zero, one = Q(0), Q(1)
     rows = []
     for source, negate in zip(plan.sources, plan.negate):
-        paths = {source: Q(1)}
+        paths = {source: (1, 1)}
         for v, arcs in steps:
-            total = paths.get(v)
-            if total:
-                for head, weight in arcs:
-                    path = total * weight
-                    paths[head] = paths[head] + path if head in paths else path
+            pn, pd = paths.get(v, (0, 1))
+            if not pn:
+                continue
+            for head, wn, wd in arcs:
+                # the path sum at v times the arc's weight, plus the sum at head so far
+                g1, g2 = gcd(pn, wd), gcd(wn, pd)
+                num, den = (pn // g1) * (wn // g2), (pd // g2) * (wd // g1)
+                old = paths.get(head)
+                if old is not None:
+                    on, od = old
+                    g = gcd(od, den)
+                    if g == 1:
+                        num, den = on * den + od * num, od * den
+                    else:
+                        s = od // g
+                        t = on * (den // g) + num * s
+                        g = gcd(t, g)
+                        num, den = t // g, s * (den // g)
+                paths[head] = (num, den)
         row = []
         for j, odd in enumerate(negate, 1):
             if odd is None:
-                row.append(Q(int(j == source)))
+                row.append(one if j == source else zero)
             else:
-                value = paths.get(j, Q(0))
-                row.append(-value if odd else value)
+                num, den = paths.get(j, (0, 1))
+                row.append(Fraction(-num if odd else num, den))
         rows.append(tuple(row))
     return RationalMatrix(tuple(rows)), monomial(weights, plan.m0)
 
@@ -231,10 +262,13 @@ def face_pluecker(graph: PlabicGraph, point: RationalMatrix, mode: str) -> dict:
 def monomial_map(graph: PlabicGraph, weights: dict, direction: str) -> dict:
     """Face coordinates z^{-M(f)} for the extremal matchings of each face."""
     weights = check_weighting(graph, weights)
-    return {
-        f.id: 1 / monomial(weights, extremal_matching(graph, f.id, direction))
-        for f in graph.faces()
-    }
+    nums = {e: w.numerator for e, w in weights.items()}
+    dens = {e: w.denominator for e, w in weights.items()}
+    out = {}
+    for f in graph.faces():
+        m = extremal_matching(graph, f.id, direction)
+        out[f.id] = Fraction(prod(map(dens.__getitem__, m)), prod(map(nums.__getitem__, m)))
+    return out
 
 
 def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
@@ -245,13 +279,24 @@ def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
     single gauge factor prod_f x_f^{B_f - 1} applied at one recorded vertex
     restores the correct class, so every matching monomial is exact.  ∂ and
     the counts B_f depend on the graph alone and are built once per
-    direction (``matchings.boundary_matrix``).
+    direction (``matchings.boundary_matrix``).  With x_f = p_f / q_f, an
+    edge weight is one Fraction of the products of the q's and of the p's,
+    and the gauge value one of two integer products.
     """
     graph.require_reduced()
-    x = {fid: as_fraction(v) for fid, v in face_vector.items()}
+    x = {fid: as_fraction(v).as_integer_ratio() for fid, v in face_vector.items()}
     plan = boundary_matrix(graph, direction)
-    weights = {e: 1 / x[f[0]] if len(f) == 1 else 1 / (x[f[0]] * x[f[1]]) for e, f in plan.divisors.items()}
-    gauge_value = prod((x[fid] ** (len(h) - 1) for fid, h in plan.halves.items() if len(h) != 1), start=Q(1))
+    weights = {}
+    for e, faces in plan.divisors.items():
+        p, q = x[faces[0]]
+        if len(faces) == 2:
+            p2, q2 = x[faces[1]]
+            p, q = p * p2, q * q2
+        weights[e] = Fraction(q, p)
+    # every face of a reduced graph has B_f >= 1 directly-downstream edges
+    num = prod(x[fid][0] ** (len(h) - 1) for fid, h in plan.halves.items())
+    den = prod(x[fid][1] ** (len(h) - 1) for fid, h in plan.halves.items())
+    gauge_value = Fraction(num, den)
     vertex = min(graph.colors)
     weights = gauge_apply(graph, weights, {vertex: gauge_value})
     return weights, {"vertex": vertex, "factor": gauge_value}
@@ -443,7 +488,7 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
         report.append(_outcome("inversion", trial, z, failure))
 
         # the weights are positive, so the support is the set of matching boundaries
-        boundaries = pluecker(A).support()
+        boundaries = support(A)
         laurent, _ = boundary_partial(graph, face_pluecker(graph, A, "source"), "min")
         B, t = boundary_measurement_matrix(graph, laurent)
         picks = [boundaries[rng.randrange(len(boundaries))] for _ in range(3)]

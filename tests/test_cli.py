@@ -262,6 +262,9 @@ MALFORMED = {
         with_repeated_key((FIXTURES / "square4.json").read_text(), '"rotation": {', "v1", ["zzz"]),
     ),
     "repeated-weight": (("measure", "square4"), with_repeated_key(square4_weights(), "{", "leg1", "2")),
+    "zero-denominator-twist": (("twist", "--right"), json.dumps({"rows": [["1/0", 1], [0, 1]]})),
+    "zero-denominator-mu": (("mu",), json.dumps({"rows": [[1, "1/0"]]})),
+    "zero-denominator-weight": (("measure", "square4"), square4_weights().replace('"1"', '"1/0"', 1)),
 }
 
 # the id that the one-line error must name
@@ -276,6 +279,9 @@ MALFORMED_NAMES = {
     "repeated-weight": "leg1",
     "bad-label-mode": "foo",
     "non-integer-trials": "x",
+    "zero-denominator-twist": "1/0",
+    "zero-denominator-mu": "1/0",
+    "zero-denominator-weight": "1/0",
 }
 
 

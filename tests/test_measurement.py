@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
 from positroids import chamber, cli, fixtures, linalg, matchings, measurement
-from positroids.core import gale_min
+from positroids.core import gale_min, length
 from positroids.errors import PreconditionError
-from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
-from positroids.matchings import enumerate_matchings, matching_boundary
+from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, support, twist
+from positroids.matchings import enumerate_matchings, extremal_matching, matching_boundary
 from positroids.measurement import (
     boundary_measurement_matrix,
     boundary_partial,
@@ -473,13 +474,16 @@ def test_verify_diagram_never_lists_every_matching(monkeypatch):
         "twisted_pluecker_laurent",
         "matrix_from_pluecker",
         "pluecker",
+        "support",
     )
     report = verify_diagram(fixtures.load("d4"), seed=7, trials=2)
     assert all(r["status"] == "pass" for r in report)
     assert calls["enumerate_matchings"] == []
     assert calls["twisted_pluecker_laurent"] == []
     assert calls["matrix_from_pluecker"] == []
-    assert len(calls["pluecker"]) == 2  # one support list per trial
+    # one support list per trial, with no Plucker vector of Fractions
+    assert calls["pluecker"] == []
+    assert len(calls["support"]) == 2
 
 
 def test_factorization_takes_no_pluecker_vector(monkeypatch):
@@ -579,15 +583,72 @@ def oracle_boundary_measurement_matrix(graph, weights):
     return matrix, monomial(weights, m0)
 
 
+def signed(weights, rng):
+    """The weights, each times a random sign, in sorted edge order."""
+    return {e: rng.choice((1, -1)) * w for e, w in sorted(weights.items())}
+
+
 def test_boundary_measurement_matrix_matches_the_per_call_orientation():
+    # Fraction path sums at random weights, at signed ones, whose paths mix
+    # signs, and at the inverse monomial map's weights, which carry a large
+    # gauge value; the later calls read the memoized orientation
     rng = random.Random(41)
     count = 0
     for g in plan_graphs():
-        for _ in range(2):  # the second call reads the memoized orientation
-            z = random_weighting(g, rng)
-            assert boundary_measurement_matrix(g, z) == oracle_boundary_measurement_matrix(g, z)
+        z = random_weighting(g, rng)
+        weightings = [z, signed(z, rng)]
+        if g.k:
+            x = face_pluecker(g, scaled_network_matrix(g, z), "source")
+            weightings.append(boundary_partial(g, x, "min")[0])
+        for w in weightings:
+            assert boundary_measurement_matrix(g, w) == oracle_boundary_measurement_matrix(g, w)
         count += 1
     assert count == 6 + 414 + 5
+
+
+def oracle_monomial_map(graph, weights, direction):
+    """z^{-M(f)} as the reciprocal of a product of Fractions."""
+    return {
+        f.id: 1 / prod((Q(weights[e]) for e in extremal_matching(graph, f.id, direction)), start=Q(1))
+        for f in graph.faces()
+    }
+
+
+def oracle_boundary_partial(graph, face_vector, direction):
+    """The inverse monomial map with every weight and the gauge value
+    formed by Fraction arithmetic."""
+    x = {fid: Q(v) for fid, v in face_vector.items()}
+    plan = matchings.boundary_matrix(graph, direction)
+    weights = {e: 1 / x[f[0]] if len(f) == 1 else 1 / (x[f[0]] * x[f[1]]) for e, f in plan.divisors.items()}
+    gauge_value = prod((x[fid] ** (len(h) - 1) for fid, h in plan.halves.items() if len(h) != 1), start=Q(1))
+    vertex = min(graph.colors)
+    return gauge_apply(graph, weights, {vertex: gauge_value}), {"vertex": vertex, "factor": gauge_value}
+
+
+def test_monomial_and_inverse_maps_match_their_fraction_formulas():
+    rng = random.Random(43)
+    for g in plan_graphs():
+        z = signed(random_weighting(g, rng), rng)
+        x = {f.id: rng.choice((1, -1)) * Q(rng.randint(1, 1000), rng.randint(1, 1000)) for f in g.faces()}
+        for direction in ("min", "max"):
+            assert monomial_map(g, z, direction) == oracle_monomial_map(g, z, direction)
+            assert boundary_partial(g, x, direction) == oracle_boundary_partial(g, x, direction)
+
+
+def test_support_is_the_support_of_the_pluecker_vector():
+    rng = random.Random(47)
+    vanishing = 0
+    for g in plan_graphs():
+        if g.k:
+            z = random_weighting(g, rng)
+            for w in (z, signed(z, rng)):
+                A = scaled_network_matrix(g, w)
+                assert support(A) == pluecker(A).support()
+            # at positive weights a minor vanishes exactly below the top cell
+            below_top = length(g.trip_permutation()) > 0
+            assert (len(support(scaled_network_matrix(g, z))) < comb(g.n, g.k)) == below_top
+            vanishing += below_top
+    assert vanishing == 398
 
 
 def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
