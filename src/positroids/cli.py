@@ -18,7 +18,7 @@ from .core import BoundedAffinePermutation, length
 from .errors import PreconditionError, json_shape
 from .linalg import RationalMatrix, as_fraction, double_twist_mu, twist
 from .matchings import enumerate_matchings, graph_positroid, matching_boundary
-from .measurement import measure, twisted_pluecker_laurent, verify_diagram
+from .measurement import check_weighting, measure, twisted_pluecker_laurent, verify_diagram
 from .moves import Move, apply_move, synthesize
 from .plabic import GraphError, PlabicGraph
 
@@ -155,7 +155,8 @@ def cmd_synth(args) -> None:
 
 def cmd_move(args) -> None:
     g = load_graph(args.graph)
-    z = load_weights(args.weights)
+    # a step that reads no weight would carry a missing or zero one through
+    z = check_weighting(g, load_weights(args.weights))
     script = json_shape(read_json(args.spec), list, "a move script")
     notes = []
     for step in script:

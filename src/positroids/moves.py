@@ -3,7 +3,10 @@ reduced graph from a bounded affine permutation.
 
 Every move returns a new graph plus the transported edge weights; boundary
 measurements are preserved exactly (urban renewal applies its gauge factor at
-a recorded vertex to stay exact at the cone level).
+a recorded vertex to stay exact at the cone level).  Each move is a step of
+``_Draft``, which edits plain dicts in place; the public functions run one
+step on a copy of the graph and build and validate the result once, and
+``synthesize`` runs its whole script on one draft.
 """
 from __future__ import annotations
 
@@ -24,66 +27,10 @@ class MoveResult:
     note: Optional[dict] = None
 
 
-def _fresh(prefix: str, taken, start: int = 0) -> str:
-    """The first of prefix0, prefix1, ... not in taken; the scan begins at
-    index ``start``, below which every name must be taken."""
-    i = start
-    while f"{prefix}{i}" in taken:
-        i += 1
-    return f"{prefix}{i}"
-
-
-def _rotation_replace(rotation, old, new_list):
-    out = []
-    for e in rotation:
-        if e == old:
-            out.extend(new_list)
-        else:
-            out.append(e)
-    return out
-
-
 def contract(graph: PlabicGraph, vertex: str, weights: dict) -> MoveResult:
     """Delete a degree-2 internal vertex not at the boundary, merging its
     neighbors; edges on either side pick up the opposite connecting weight."""
-    if vertex not in graph.colors:
-        raise ValueError(f"no internal vertex {vertex!r}")
-    incident = graph.incident(vertex)
-    if len(incident) != 2:
-        raise ValueError(f"vertex {vertex!r} has degree {len(incident)}, need 2")
-    e1, e2 = sorted(incident)
-    u1 = graph.other_end(e1, vertex)
-    u2 = graph.other_end(e2, vertex)
-    if graph.is_boundary(u1) or graph.is_boundary(u2):
-        raise ValueError(f"vertex {vertex!r} is adjacent to the boundary")
-    if u1 == u2:
-        raise ValueError("contracting a bigon would leave a loop")
-    b, c = as_fraction(weights[e1]), as_fraction(weights[e2])
-    new_weights = {}
-    for e in graph.edges:
-        if e in (e1, e2):
-            continue
-        w = as_fraction(weights[e])
-        ends = graph.edges[e]
-        if u1 in ends:
-            w = w * c
-        if u2 in ends:
-            w = w * b
-        new_weights[e] = w
-    colors = dict(graph.colors)
-    color = colors.pop(u2)
-    colors.pop(vertex)
-    edges = {e: ends for e, ends in graph.edges.items() if e not in (e1, e2)}
-    edges = {
-        e: tuple(u1 if x == u2 else x for x in ends) for e, ends in edges.items()
-    }
-    rot1 = list(graph.rotations[u1])
-    rot2 = list(graph.rotations[u2])
-    i2 = rot2.index(e2)
-    spliced = rot2[i2 + 1 :] + rot2[:i2]
-    rotations = {v: list(r) for v, r in graph.rotations.items() if v not in (vertex, u2)}
-    rotations[u1] = _rotation_replace(rot1, e1, spliced)
-    return MoveResult(PlabicGraph(graph.n, colors, edges, rotations), new_weights)
+    return _edit(graph, weights, _Draft.contract, vertex)
 
 
 def expand(
@@ -96,77 +43,20 @@ def expand(
     """Split ``count`` cyclically consecutive edges (starting at ``first_edge``
     in the rotation) off ``vertex`` onto a same-colored vertex, joined
     through a new degree-2 vertex of the opposite color with unit weights."""
-    rot = list(graph.rotations[vertex])
-    if first_edge not in rot:
-        raise ValueError(f"{first_edge!r} is not incident to {vertex!r}")
-    if not 1 <= count <= len(rot) - 1:
-        raise ValueError("split must keep at least one edge on each side")
-    start = rot.index(first_edge)
-    moved = [rot[(start + i) % len(rot)] for i in range(count)]
-    kept = [rot[(start + count + i) % len(rot)] for i in range(len(rot) - count)]
-    color = graph.colors[vertex]
-    other = "black" if color == "white" else "white"
-    taken = set(graph.colors) | set(map(str, graph.boundary_vertices()))
-    v_new = _fresh("sp", taken)
-    v_mid = _fresh("md", taken | {v_new})
-    e_a = _fresh("ea", set(graph.edges))
-    e_b = _fresh("eb", set(graph.edges) | {e_a})
-    colors = dict(graph.colors)
-    colors[v_new] = color
-    colors[v_mid] = other
-    edges = dict(graph.edges)
-    for e in moved:
-        edges[e] = tuple(v_new if x == vertex else x for x in edges[e])
-    edges[e_a] = (vertex, v_mid)
-    edges[e_b] = (v_mid, v_new)
-    rotations = {v: list(r) for v, r in graph.rotations.items()}
-    rotations[vertex] = kept + [e_a]
-    rotations[v_mid] = [e_a, e_b]
-    rotations[v_new] = moved + [e_b]
-    new_weights = dict(weights)
-    new_weights[e_a] = Q(1)
-    new_weights[e_b] = Q(1)
-    return MoveResult(PlabicGraph(graph.n, colors, edges, rotations), new_weights)
+    return _edit(graph, weights, _Draft.expand, vertex, first_edge, count)
 
 
 def remove_boundary_vertex(graph: PlabicGraph, vertex: str, weights: dict) -> MoveResult:
     """Delete a degree-2 internal vertex adjacent to the boundary; the inner
     edge keeps its weight and reaches the boundary, the merged vertex's other
     edges scale by the removed outer weight."""
-    incident = graph.incident(vertex)
-    if vertex not in graph.colors or len(incident) != 2:
-        raise ValueError(f"vertex {vertex!r} is not a degree-2 internal vertex")
-    ends = [graph.other_end(e, vertex) for e in incident]
-    boundary_sides = [i for i, x in enumerate(ends) if graph.is_boundary(x)]
-    if len(boundary_sides) != 1:
-        raise ValueError(f"vertex {vertex!r} is not adjacent to exactly one boundary vertex")
-    e_out = incident[boundary_sides[0]]
-    e_in = incident[1 - boundary_sides[0]]
-    i = ends[boundary_sides[0]]
-    u = ends[1 - boundary_sides[0]]
-    c = as_fraction(weights[e_out])
-    new_weights = {}
-    for e in graph.edges:
-        if e == e_out:
-            continue
-        w = as_fraction(weights[e])
-        if e != e_in and u in graph.edges[e]:
-            w = w * c
-        new_weights[e] = w
-    colors = dict(graph.colors)
-    colors.pop(vertex)
-    edges = {e: ends_ for e, ends_ in graph.edges.items() if e != e_out}
-    edges[e_in] = tuple(i if x == vertex else x for x in edges[e_in])
-    rotations = {v: list(r) for v, r in graph.rotations.items() if v != vertex}
-    return MoveResult(PlabicGraph(graph.n, colors, edges, rotations), new_weights)
+    return _edit(graph, weights, _Draft.remove_boundary_vertex, vertex)
 
 
 def add_boundary_vertex(graph: PlabicGraph, i: int, weights: dict) -> MoveResult:
     """Insert a degree-2 vertex of the opposite color in the middle of the
     pendant edge at boundary vertex i; the new outer edge has weight 1."""
-    draft = _Draft(graph, weights)
-    draft.boundary_vertex(i)
-    return MoveResult(draft.build(), draft.weights)
+    return _edit(graph, weights, _Draft.boundary_vertex, i)
 
 
 def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult:
@@ -179,66 +69,10 @@ def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult
     face = graph.face_by_id(face_id)
     if face.kind != "internal" or len(set(face.edges)) != 4 or len(face.edges) != 4:
         raise ValueError(f"face {face_id} is not an internal square")
-    walk = list(face.walk)
-    corners = [d[2] for d in walk]  # corner idx has face edges old[idx], old[idx+1]
-    old = [d[0] for d in walk]
+    corners = [d[2] for d in face.walk]  # corner idx has face edges idx and idx+1
     if len(set(corners)) != 4:
         raise ValueError(f"face {face_id} is not an embedded square")
-    b = [as_fraction(weights[e]) for e in old]
-    denom = b[0] * b[2] + b[1] * b[3]
-    if denom == 0:
-        raise ValueError("urban renewal denominator b1*b3 + b2*b4 vanishes")
-    taken = set(graph.colors)
-    inner = {}
-    for v in corners:
-        inner[v] = _fresh("uin", taken | set(inner.values()))
-    colors = dict(graph.colors)
-    edges = dict(graph.edges)
-    rotations = {v: list(r) for v, r in graph.rotations.items()}
-    new_weights = dict(weights)
-    spoke = {}
-    for v in corners:
-        colors[inner[v]] = "black" if graph.colors[v] == "white" else "white"
-        e_sp = _fresh("usp", set(edges))
-        edges[e_sp] = (v, inner[v])
-        spoke[v] = e_sp
-        new_weights[e_sp] = Q(1)
-    # replace each corner's adjacent pair of square edges by its spoke
-    for idx, v in enumerate(corners):
-        e_in = old[idx]
-        e_out = old[(idx + 1) % 4]
-        rot = rotations[v]
-        p_in, p_out = rot.index(e_in), rot.index(e_out)
-        if (p_in + 1) % len(rot) == p_out:
-            first = p_in
-        elif (p_out + 1) % len(rot) == p_in:
-            first = p_out
-        else:
-            raise ValueError(f"square edges not consecutive at corner {v!r}")
-        cycled = rot[first:] + rot[:first]
-        rotations[v] = [spoke[v]] + cycled[2:]
-    # new inner square: the edge parallel to old[idx] gets weight b[idx+2]/denom
-    new_sq = []
-    for idx in range(4):
-        v_prev, v_here = corners[(idx - 1) % 4], corners[idx]
-        e_new = _fresh("usq", set(edges))
-        edges[e_new] = (inner[v_prev], inner[v_here])
-        new_weights[e_new] = b[(idx + 2) % 4] / denom
-        new_sq.append(e_new)
-    for e in old:
-        edges.pop(e)
-        new_weights.pop(e)
-
-    # face walks keep the face on their left, so the corners always come in
-    # the same rotational order: each inner vertex sees its spoke, then the
-    # square edge arriving from the previous corner, then the one leaving
-    for idx, v in enumerate(corners):
-        rotations[inner[v]] = [spoke[v], new_sq[idx], new_sq[(idx + 1) % 4]]
-    g2 = PlabicGraph(graph.n, colors, edges, rotations)
-    gauge_vertex = min(g2.colors)
-    for e in g2.incident(gauge_vertex):
-        new_weights[e] = new_weights[e] * denom
-    return MoveResult(g2, new_weights, {"gauge_vertex": gauge_vertex, "factor": denom})
+    return _edit(graph, weights, _Draft.urban_renewal, corners, face.edges)
 
 
 @dataclass(frozen=True)
@@ -295,21 +129,25 @@ def apply_move(graph: PlabicGraph, weights: dict, move: Move) -> MoveResult:
     return add_bridge(graph, site, kind.split("-")[0], as_fraction(params.get("t", 1)), weights)
 
 
-# -- lollipops and bridges ------------------------------------------------
+# -- the draft every move edits -------------------------------------------
+
+
+_OTHER_COLOR = {"white": "black", "black": "white"}
 
 
 class _Draft:
     """A graph under construction: plain color, edge and rotation dicts, the
-    pendant edge at each boundary vertex and the edge weights, changed in
-    place by the lollipop, boundary-vertex and bridge steps and validated
-    once, by ``build``.
+    pendant edge at each boundary vertex and the edge weights.  Each move is
+    a step that changes them in place: ``contract``, ``expand``,
+    ``boundary_vertex`` and ``remove_boundary_vertex``, ``urban_renewal``,
+    ``lollipop`` and ``bridge``.  ``build`` validates the result once.
 
-    Each step names its new vertices and edges with ``_fresh`` over the
-    current dicts, in the order the single moves do, so a script run on one
-    draft gives the same graph, ids included, as its moves applied one
-    validated graph at a time.  Each prefix names one dict, and the scan for
-    a prefix resumes at the index it last gave: names are only added between
-    removals, and a removal restarts every scan at 0.
+    Each step names its new vertices and edges with ``fresh`` over the
+    current dicts, so a script run on one draft gives the same graph, ids
+    included, as its moves applied one validated graph at a time.  Each
+    prefix names one dict, and the scan for a prefix resumes at the index it
+    last gave: names are only added between removals, and a step that
+    removes a name restarts every scan at 0.
     """
 
     def __init__(self, graph: Optional[PlabicGraph] = None, weights: Optional[dict] = None):
@@ -320,28 +158,153 @@ class _Draft:
             self.edges = dict(graph.edges)
             self.rotations = {v: list(r) for v, r in graph.rotations.items()}
             self.pendant = {i: graph.pendant_edge(i) for i in graph.boundary_vertices()}
-        self.weights = dict(weights or {})
+        self.weights = {e: as_fraction(w) for e, w in (weights or {}).items()}
         self._scan_from = {}  # prefix -> index below which every name is taken
 
     def fresh(self, prefix: str, taken: dict) -> str:
-        name = _fresh(prefix, taken, self._scan_from.get(prefix, 0))
-        self._scan_from[prefix] = int(name[len(prefix) :])
-        return name
+        """The first of prefix0, prefix1, ... not in taken."""
+        i = self._scan_from.get(prefix, 0)
+        while f"{prefix}{i}" in taken:
+            i += 1
+        self._scan_from[prefix] = i
+        return f"{prefix}{i}"
 
     def build(self) -> PlabicGraph:
         return PlabicGraph(self.n, self.colors, self.edges, self.rotations)
+
+    def other_end(self, e: str, v):
+        u, w = self.edges[e]
+        return w if u == v else u
 
     def pendant_end(self, i: int):
         """The pendant edge at boundary vertex i and its internal end."""
         if i not in self.pendant:
             raise ValueError(f"boundary vertex {i} has no edge")
         pe = self.pendant[i]
-        u, w = self.edges[pe]
-        return pe, (w if u == i else u)
+        return pe, self.other_end(pe, i)
 
-    def lollipop(self, i: int, color: str):
+    def contract(self, vertex: str) -> None:
+        if vertex not in self.colors:
+            raise ValueError(f"no internal vertex {vertex!r}")
+        incident = self.rotations[vertex]
+        if len(incident) != 2:
+            raise ValueError(f"vertex {vertex!r} has degree {len(incident)}, need 2")
+        e1, e2 = sorted(incident)
+        u1, u2 = self.other_end(e1, vertex), self.other_end(e2, vertex)
+        if isinstance(u1, int) or isinstance(u2, int):
+            raise ValueError(f"vertex {vertex!r} is adjacent to the boundary")
+        if u1 == u2:
+            raise ValueError("contracting a bigon would leave a loop")
+        self._scan_from.clear()
+        b, c = self.weights.pop(e1), self.weights.pop(e2)
+        del self.edges[e1], self.edges[e2], self.rotations[vertex]
+        del self.colors[vertex], self.colors[u2]
+        for e, ends in self.edges.items():
+            if u1 in ends:
+                self.weights[e] *= c
+            if u2 in ends:
+                self.weights[e] *= b
+                self.edges[e] = tuple(u1 if x == u2 else x for x in ends)
+        rot1, rot2 = self.rotations[u1], self.rotations.pop(u2)
+        i1, i2 = rot1.index(e1), rot2.index(e2)
+        self.rotations[u1] = rot1[:i1] + rot2[i2 + 1 :] + rot2[:i2] + rot1[i1 + 1 :]
+
+    def expand(self, vertex: str, first_edge: str, count: int) -> None:
+        rot = self.rotations[vertex]
+        if first_edge not in rot:
+            raise ValueError(f"{first_edge!r} is not incident to {vertex!r}")
+        if not 1 <= count <= len(rot) - 1:
+            raise ValueError("split must keep at least one edge on each side")
+        start = rot.index(first_edge)
+        moved = [rot[(start + i) % len(rot)] for i in range(count)]
+        kept = [rot[(start + count + i) % len(rot)] for i in range(len(rot) - count)]
+        v_new = self.fresh("sp", self.colors)
+        self.colors[v_new] = self.colors[vertex]
+        v_mid = self.fresh("md", self.colors)
+        self.colors[v_mid] = _OTHER_COLOR[self.colors[vertex]]
+        for e in moved:
+            self.edges[e] = tuple(v_new if x == vertex else x for x in self.edges[e])
+        e_a = self.fresh("ea", self.edges)
+        self.edges[e_a] = (vertex, v_mid)
+        e_b = self.fresh("eb", self.edges)
+        self.edges[e_b] = (v_mid, v_new)
+        self.rotations[vertex] = kept + [e_a]
+        self.rotations[v_mid] = [e_a, e_b]
+        self.rotations[v_new] = moved + [e_b]
+        self.weights[e_a] = self.weights[e_b] = Q(1)
+
+    def remove_boundary_vertex(self, vertex: str) -> None:
+        incident = self.rotations.get(vertex, ())
+        if vertex not in self.colors or len(incident) != 2:
+            raise ValueError(f"vertex {vertex!r} is not a degree-2 internal vertex")
+        ends = [self.other_end(e, vertex) for e in incident]
+        boundary_sides = [i for i, x in enumerate(ends) if isinstance(x, int)]
+        if len(boundary_sides) != 1:
+            raise ValueError(f"vertex {vertex!r} is not adjacent to exactly one boundary vertex")
+        e_out = incident[boundary_sides[0]]
+        e_in = incident[1 - boundary_sides[0]]
+        i = ends[boundary_sides[0]]
+        u = ends[1 - boundary_sides[0]]
+        self._scan_from.clear()
+        c = self.weights.pop(e_out)
+        for e in self.rotations[u]:
+            if e != e_in:
+                self.weights[e] *= c
+        del self.edges[e_out], self.colors[vertex], self.rotations[vertex]
+        self.edges[e_in] = tuple(i if x == vertex else x for x in self.edges[e_in])
+        self.pendant[i] = e_in
+
+    def urban_renewal(self, corners: list, old: tuple) -> dict:
+        """The square move on the face whose walk has these corners and
+        edges, corner idx between old[idx] and old[idx+1]; returns the note."""
+        b = [self.weights[e] for e in old]
+        denom = b[0] * b[2] + b[1] * b[3]
+        if denom == 0:
+            raise ValueError("urban renewal denominator b1*b3 + b2*b4 vanishes")
+        inner, spoke = {}, {}
+        for v in corners:
+            inner[v] = self.fresh("uin", self.colors)
+            self.colors[inner[v]] = _OTHER_COLOR[self.colors[v]]
+            spoke[v] = self.fresh("usp", self.edges)
+            self.edges[spoke[v]] = (v, inner[v])
+            self.weights[spoke[v]] = Q(1)
+        # replace each corner's adjacent pair of square edges by its spoke
+        for idx, v in enumerate(corners):
+            rot = self.rotations[v]
+            p_in, p_out = rot.index(old[idx]), rot.index(old[(idx + 1) % 4])
+            if (p_in + 1) % len(rot) == p_out:
+                first = p_in
+            elif (p_out + 1) % len(rot) == p_in:
+                first = p_out
+            else:
+                raise ValueError(f"square edges not consecutive at corner {v!r}")
+            cycled = rot[first:] + rot[:first]
+            self.rotations[v] = [spoke[v]] + cycled[2:]
+        # new inner square: the edge parallel to old[idx] gets weight b[idx+2]/denom
+        new_sq = []
+        for idx in range(4):
+            v_prev, v_here = corners[(idx - 1) % 4], corners[idx]
+            e_new = self.fresh("usq", self.edges)
+            self.edges[e_new] = (inner[v_prev], inner[v_here])
+            self.weights[e_new] = b[(idx + 2) % 4] / denom
+            new_sq.append(e_new)
+        self._scan_from.clear()
+        for e in old:
+            del self.edges[e], self.weights[e]
+
+        # face walks keep the face on their left, so the corners always come in
+        # the same rotational order: each inner vertex sees its spoke, then the
+        # square edge arriving from the previous corner, then the one leaving
+        for idx, v in enumerate(corners):
+            self.rotations[inner[v]] = [spoke[v], new_sq[idx], new_sq[(idx + 1) % 4]]
+        gauge_vertex = min(self.colors)
+        for e in self.rotations[gauge_vertex]:
+            self.weights[e] *= denom
+        return {"gauge_vertex": gauge_vertex, "factor": denom}
+
+    def lollipop(self, i: int, color: str) -> dict:
         """Open boundary position i (old j >= i becomes j+1) and hang a
-        lollipop of the given color there; returns its vertex and edge."""
+        lollipop of the given color there; the note names its vertex and edge."""
         if not 1 <= i <= self.n + 1:
             raise ValueError(f"position {i} out of range")
         if color not in ("white", "black"):
@@ -358,24 +321,23 @@ class _Draft:
         self.rotations[v] = [e]
         self.pendant[i] = e
         self.weights[e] = Q(1)
-        return v, e
+        return {"vertex": v, "edge": e}
 
     def boundary_vertex(self, i: int) -> None:
         """Split the pendant edge at i by a vertex of the opposite color."""
         pe, u = self.pendant_end(i)
-        color = "black" if self.colors[u] == "white" else "white"
         v_new = self.fresh("bd", self.colors)
         e_new = self.fresh("pe", self.edges)
-        self.colors[v_new] = color
+        self.colors[v_new] = _OTHER_COLOR[self.colors[u]]
         self.edges[pe] = (u, v_new)
         self.edges[e_new] = (v_new, i)
         self.rotations[v_new] = [pe, e_new]
         self.pendant[i] = e_new
         self.weights[e_new] = Q(1)
 
-    def bridge(self, i: int, side: str, t: Fraction) -> str:
+    def bridge(self, i: int, side: str, t: Fraction) -> dict:
         """Add a bridge of weight t between boundary vertices i and i+1,
-        without checking that it is legal; returns the bridge edge."""
+        without checking that it is legal; the note names the bridge edge."""
         j = i % self.n + 1
         wanted = ((i, "black"), (j, "white")) if side == "left" else ((i, "white"), (j, "black"))
         # a same-colored neighbor of degree > 1 gets an opposite-color buffer
@@ -419,15 +381,20 @@ class _Draft:
         # over i+1 it is (up, bridge, stub).
         self.rotations[v_i] = ([pe_i] if pe_i else []) + [stub_i, e_bridge]
         self.rotations[v_j] = ([pe_j] if pe_j else []) + [e_bridge, stub_j]
-        return e_bridge
+        return {"bridge_edge": e_bridge, "parameter": t}
+
+
+def _edit(graph: PlabicGraph, weights: Optional[dict], step, *args) -> MoveResult:
+    """Run one draft step on a copy of the graph and its weights (unit
+    weights when none are given), then validate the new graph once."""
+    draft = _Draft(graph, weights if weights is not None else dict.fromkeys(graph.edges, Q(1)))
+    note = step(draft, *args)
+    return MoveResult(draft.build(), draft.weights, note)
 
 
 def add_lollipop(graph: PlabicGraph, i: int, color: str, weights: Optional[dict] = None):
     """Insert a lollipop of the given color at boundary position i."""
-    draft = _Draft(graph, weights)
-    v, e = draft.lollipop(i, color)
-    new_weights = draft.weights if weights is not None else None
-    return MoveResult(draft.build(), new_weights, {"vertex": v, "edge": e})
+    return _edit(graph, weights, _Draft.lollipop, i, color)
 
 
 def add_bridge(
@@ -457,9 +424,7 @@ def add_bridge(
             raise ValueError(f"right bridge at {i} is illegal for this permutation")
     else:
         raise ValueError(f"bad side {side!r}")
-    draft = _Draft(graph, weights if weights is not None else {e: Q(1) for e in graph.edges})
-    e_bridge = draft.bridge(i, side, t)
-    return MoveResult(draft.build(), draft.weights, {"bridge_edge": e_bridge, "parameter": t})
+    return _edit(graph, weights, _Draft.bridge, i, side, t)
 
 
 def synthesis_steps(pi: BoundedAffinePermutation) -> list[Move]:

@@ -400,8 +400,7 @@ class PlabicGraph:
             path = []
             while True:
                 path.append(crossing)
-                e, v = crossing
-                if self.is_boundary(v):
+                if self.is_boundary(crossing[1]):
                     break
                 crossing = self._next_crossing(crossing)
             strands.append(Strand(i, path[-1][1], tuple(path)))

@@ -140,6 +140,23 @@ def test_move_script(tmp_path):
     assert out["notes"][0]["factor"] == "2"
 
 
+@pytest.mark.parametrize("leg1", [None, "0"], ids=["missing", "zero"])
+def test_move_checks_the_weighting_first(tmp_path, leg1):
+    # boundary-add reads no weight, so without a check up front the script
+    # would print a weighting with leg1 missing or 0
+    weights = {e["id"]: "1" for e in json.loads((FIXTURES / "square4.json").read_text())["edges"]}
+    if leg1 is None:
+        del weights["leg1"]
+    else:
+        weights["leg1"] = leg1
+    wpath, spath = tmp_path / "w.json", tmp_path / "moves.json"
+    wpath.write_text(json.dumps(weights))
+    spath.write_text(json.dumps([{"kind": "boundary-add", "site": 1}]))
+    result = run_cli_result("move", "square4", str(wpath), "--spec", str(spath), expect=1)
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "'leg1'" in result.stderr, result.stderr
+
+
 def test_laurent():
     out = json.loads(run_cli("laurent", str(FIXTURES / "d4.json"), "--J", "2,4,6,8"))
     assert len(out["terms"]) == 17

@@ -691,3 +691,16 @@ def test_verify_diagram_property(n, rng, seed):
     assume(pi.k >= 1)
     report = verify_diagram(synthesize(pi), seed=seed, trials=1)
     assert [r["status"] for r in report] == ["pass"] * 6, pi.values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_twists_invert_each_other_on_path_sums(n, rng):
+    # the left and right twists are inverse maps (Muller-Speyer): composed
+    # either way round they return the path-sum point of a random cell
+    pi = random_bounded_affine(n, rng)
+    assume(pi.k >= 1)
+    g = synthesize(pi)
+    A, _ = boundary_measurement_matrix(g, random_weighting(g, rng))
+    assert twist(twist(A, "right"), "left") == A, pi.values
+    assert twist(twist(A, "left"), "right") == A, pi.values

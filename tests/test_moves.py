@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_bounded_affine, random_bounded_affine
@@ -131,6 +131,56 @@ def test_urban_renewal_is_the_exchange_relation():
     assert squares == 10
 
 
+def legal_moves(graph):
+    """Every contract, expand (each first edge and count), boundary-add,
+    boundary-remove and urban-renewal move that applies to the graph; a
+    lollipop takes no boundary-add, which would leave it an interior leaf."""
+    out = [
+        Move("urban-renewal", f.id)
+        for f in graph.faces()
+        if f.kind == "internal" and len(f.edges) == 4 and len({d[2] for d in f.walk}) == 4
+    ]
+    for v in sorted(graph.colors):
+        rot = graph.rotations[v]
+        ends = [graph.other_end(e, v) for e in rot]
+        at_boundary = sum(map(graph.is_boundary, ends))
+        if len(rot) == 2 and at_boundary == 1:
+            out.append(Move("boundary-remove", v))
+        elif len(rot) == 2 and at_boundary == 0 and ends[0] != ends[1]:
+            out.append(Move("contract", v))
+        out += [Move("expand", v, {"first_edge": e, "count": c}) for e in rot for c in range(1, len(rot))]
+    pendant_ends = {i: graph.other_end(graph.pendant_edge(i), i) for i in graph.boundary_vertices()}
+    return out + [Move("boundary-add", i) for i, u in pendant_ends.items() if len(graph.rotations[u]) > 1]
+
+
+# tri6's measurement has binom(18, 6) coordinates; its move scripts are a CI guard
+SCRIPT_FIXTURES = sorted(set(fixtures.BUILDERS) - {"tri6"})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_move_scripts_preserve_measure(data):
+    # scripts of one to six steps on a fixture or a random cell with n <= 6,
+    # each step a legal move of a kind drawn first, so that the many expand
+    # moves do not crowd out the rare squares: the measurement never changes
+    name = data.draw(st.sampled_from([*SCRIPT_FIXTURES, "random cell"]))
+    if name == "random cell":
+        rng = data.draw(st.randoms(use_true_random=False))
+        graph = synthesize(random_bounded_affine(rng.randint(1, 6), rng))
+    else:
+        graph = fixtures.load(name)
+    assume(legal_moves(graph))  # not a row of lollipops
+    z = random_weighting(graph, data.draw(st.randoms(use_true_random=False)))
+    p = measure(graph, z)
+    for _ in range(data.draw(st.integers(1, 6))):
+        moves = legal_moves(graph)
+        kind = data.draw(st.sampled_from(sorted({m.kind for m in moves})))
+        move = data.draw(st.sampled_from([m for m in moves if m.kind == kind]))
+        res = apply_move(graph, z, move)
+        graph, z = res.graph, res.weights
+        assert measure(graph, z) == p, move
+
+
 def test_moves_keep_diagram_valid(square4, schubert36):
     # the main-theorem checks survive each kind of move
     rng = random.Random(35)
@@ -255,8 +305,10 @@ def test_lollipop_keeps_faces(square4):
     # +k for a black lollipop, +(n-k) for a white one
     pi = square4.trip_permutation()
     k, n = pi.k, pi.n
-    black = add_lollipop(square4, 3, "black").graph
-    white = add_lollipop(square4, 3, "white").graph
+    res = add_lollipop(square4, 3, "black")
+    black, white = res.graph, add_lollipop(square4, 3, "white").graph
+    # with no weights given, every edge of the result has weight 1
+    assert res.weights == dict.fromkeys(black.edges, 1)
     assert len(black.faces()) == len(square4.faces())
     assert len(white.faces()) == len(square4.faces())
     assert length(black.trip_permutation()) == length(pi) + k
