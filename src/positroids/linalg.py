@@ -1,27 +1,34 @@
 """Exact rational matrices, cyclic minors, twists and the double-twist map.
 
-Matrices are k x n grids of ``fractions.Fraction``; columns are addressed by
-any integer, reduced mod n.  Everything here is pure and value-semantic.
+A k x n matrix is held as its n columns in lowest integer terms: integer
+k-tuples and one positive scale each, the column being the tuple over its
+scale.  Columns are addressed by any integer, reduced mod n.  Everything here
+is pure and value-semantic.  Values are parsed straight into (numerator,
+denominator) pairs, each column is reduced with one lcm and one gcd, and
+``to_json`` prints each entry from its integer and scale with one gcd; the
+``rows`` of Fractions are only a cached view.
 
-Elimination runs in one fraction-free kernel, ``_Echelon``: a column's
-denominators are cleared once, then integer Bareiss elimination takes the
-columns one at a time.  ``det``, ``minor``, ``minors`` and ``rank`` use it;
-``minors`` clears each column once for many minors of one matrix, and
-``_scan`` feeds it the cyclic interval a, a+1, ... (or a, a-1, ...) until it
-holds a basis.  ``matrix_necklace`` makes one scan from each column; each
-twist column is solved from its own necklace scan, and ``double_twist_mu``
-reads each necklace minor from one.  ``pluecker`` and ``support`` alone take
-all maximal minors at once, by one integer Laplace expansion along the rows
-that shares each smaller minor between every column set containing it;
-``pluecker`` divides each by its columns' scales, and ``support`` keeps the
-column sets whose integer minor is nonzero without building a Fraction.
+Elimination runs in one fraction-free kernel, ``_Echelon``: integer Bareiss
+elimination takes the stored columns one at a time.  ``det`` clears the
+denominators of the Fraction columns it is given; ``minor``, ``minors`` and
+``rank`` read a matrix's columns as they are stored, and ``_scan`` feeds the
+kernel the cyclic interval a, a+1, ... (or a, a-1, ...) until it holds a
+basis.  ``matrix_necklace`` makes one scan from each column; each twist
+column is solved from its own necklace scan as an integer column over one
+denominator, and ``double_twist_mu`` reads each necklace minor from one.
+``pluecker`` and ``support`` alone take all maximal minors at once, by one
+integer Laplace expansion along the rows that shares each smaller minor
+between every column set containing it; ``pluecker`` divides each by its
+columns' scales, and ``support`` keeps the column sets whose integer minor
+is nonzero without building a Fraction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .core import GrassmannNecklace, implied_window, necklace_from_perm, perm_from_necklace
@@ -33,50 +40,118 @@ Q = Fraction
 def as_fraction(x) -> Fraction:
     """Accept ints, Fractions and 'p/q' strings; not bools, which JSON's
     true and false would otherwise pass for 1 and 0."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q) with q > 0 and p / q = x, for the values ``as_fraction`` takes.
+
+    A plain ASCII '-?digits' or '-?digits/digits' string is split and read
+    with ``int``, as ``Fraction`` would read it; any other goes to ``Fraction``.
+    """
+    if not isinstance(x, str):
+        if isinstance(x, Fraction):
+            return x.numerator, x.denominator
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x, 1
+        raise ValueError(f"not an exact rational: {x!r}")
+    num, slash, den = x.partition("/")
+    if x.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+        p, q = int(num), int(den) if slash else 1
+    else:
         try:
-            return Fraction(x)
+            p, q = Fraction(x).as_integer_ratio()
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise ValueError(f"not an exact rational: {x!r}")
+            q = 0
+    if not q:
+        raise ValueError(f"zero denominator in {x!r}")
+    return p, q
 
 
-@dataclass(frozen=True)
+def _lowest(ints: Sequence[int], d: int) -> tuple[tuple[int, ...], int]:
+    """The column ints / d, for d != 0, over a positive scale with the gcd of
+    its entries and the scale 1."""
+    g = gcd(*ints, d)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return tuple(ints), d
+    return tuple(x // g for x in ints), d // g
+
+
+def _from_ratios(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The column of the ratios p / q (q != 0, of either sign) in lowest terms."""
+    d = lcm(*(q for _, q in pairs))
+    return _lowest([p * (d // q) for p, q in pairs], d)
+
+
+def _text(x: int, d: int) -> str:
+    """``str(Fraction(x, d))`` for d > 0, with one gcd."""
+    if d == 1:
+        return str(x)
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+@dataclass(frozen=True, init=False)
 class RationalMatrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """Column j + 1 is ``columns[j]`` over ``scales[j]``, in lowest terms, so
+    equal matrices have equal fields."""
+
+    k: int
+    columns: tuple  # n integer k-tuples
+    scales: tuple  # one positive int per column
+
+    def __init__(self, rows: Iterable[Iterable]):
+        grid = [[_ratio(x) for x in row] for row in rows]
+        self._fill(len(grid), map(_from_ratios, zip(*grid)))
+
+    def _fill(self, k: int, columns: Iterable[tuple[tuple[int, ...], int]]) -> None:
+        columns = tuple(columns)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "columns", tuple(c for c, _ in columns))
+        object.__setattr__(self, "scales", tuple(d for _, d in columns))
+
+    @classmethod
+    def of_columns(cls, k: int, columns: Iterable[tuple[tuple[int, ...], int]]) -> "RationalMatrix":
+        """The k-row matrix of these (integer column, scale) pairs, each in
+        lowest terms already."""
+        matrix = cls.__new__(cls)
+        matrix._fill(k, columns)
+        return matrix
+
+    @classmethod
+    def of_ratios(cls, k: int, columns: Iterable[Sequence[tuple[int, int]]]) -> "RationalMatrix":
+        """The k-row matrix whose columns hold these (p, q) ratios, q != 0."""
+        return cls.of_columns(k, map(_from_ratios, columns))
 
     @classmethod
     def build(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        grid = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        grid = [[_ratio(x) for x in row] for row in rows]
         if not grid or not grid[0]:
             raise ValueError("empty matrix")
         if len({len(r) for r in grid}) != 1:
             raise ValueError("ragged rows")
-        return cls(grid)
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
+        return cls.of_ratios(len(grid), zip(*grid))
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return len(self.columns)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row."""
+        return tuple(zip(*(self.column(a) for a in range(1, self.n + 1))))
 
     def column(self, a: int) -> tuple[Fraction, ...]:
         """Column a with indices taken cyclically."""
         j = (a - 1) % self.n
-        return tuple(row[j] for row in self.rows)
+        d = self.scales[j]
+        return tuple(Q(x, d) for x in self.columns[j])
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "rows": [[str(x) for x in row] for row in self.rows],
-        }
+        text = [[_text(x, d) for x in c] for c, d in zip(self.columns, self.scales)]
+        return {"k": self.k, "n": self.n, "rows": [list(row) for row in zip(*text)]}
 
     @classmethod
     def from_json(cls, payload: dict) -> "RationalMatrix":
@@ -91,11 +166,6 @@ def _integer_column(column: Sequence[Fraction]) -> tuple[list[int], int]:
     """The column times the lcm d of its denominators, as ints, and d."""
     d = lcm(*(x.denominator for x in column))
     return [x.numerator * (d // x.denominator) for x in column], d
-
-
-def _integer_columns(matrix: RationalMatrix) -> tuple[tuple, tuple]:
-    """Columns 1..n cleared of denominators, and their scales."""
-    return tuple(zip(*(_integer_column(matrix.column(a)) for a in range(1, matrix.n + 1))))
 
 
 class _Echelon:
@@ -123,12 +193,12 @@ class _Echelon:
     def add(self, column: Sequence[int]) -> bool:
         """Reduce the column; keep it and return True if it adds a pivot."""
         v = self.reduce(column)
-        r = next((i for i in self.free if v[i]), None)
-        if r is None:
-            return False
-        self.free = [i for i in self.free if i != r]
-        self.pivots.append((r, v, self.free))
-        return True
+        for r in self.free:
+            if v[r]:
+                self.free = [i for i in self.free if i != r]
+                self.pivots.append((r, v, self.free))
+                return True
+        return False
 
     def determinant(self) -> int:
         """Determinant of the k columns fed, once all rows are pivots.
@@ -141,15 +211,16 @@ class _Echelon:
         order = [r for r, _, _ in self.pivots]
         return permutation_sign(order) * self.pivots[-1][1][order[-1]]
 
-    def dual(self, d: int) -> list[Fraction]:
-        """The tau with <tau, c_0> = d and <tau, c_t> = 0 for the other pivot
-        columns c_t, in the order fed, once all rows are pivots.
+    def dual(self, d: int) -> tuple[list[int], int]:
+        """(X, D) with tau = X / D: <tau, c_0> = d and <tau, c_t> = 0 for the
+        other pivot columns c_t, in the order fed, once all rows are pivots.
 
         The pivots are a fraction-free LU factorization of the fed columns,
         so the transposed system solves in integers by exact divisions.
         With p_0 = 1 and p_{t+1} the pivot of c_t at its row r_t, forward
-        elimination of d e_0 gives b, and back substitution gives
-        X = p_k tau in pivot-row order.
+        elimination of d e_0 gives b, and back substitution gives the
+        entries of X = D tau, with D = p_k, in pivot order; they are
+        returned by row.
         """
         pivots = self.pivots
         k = len(pivots)
@@ -161,12 +232,12 @@ class _Echelon:
                 b[j] = (p[s + 1] * b[j] - pivots[j][1][r] * b[s]) // p[s]
         D = p[k]
         X = [0] * k
-        tau: list = [None] * k
+        by_row = [0] * k
         for i in reversed(range(k)):
             r, col, _ = pivots[i]
             X[i] = (D * b[i] - sum(col[pivots[t][0]] * X[t] for t in range(i + 1, k))) // p[i + 1]
-            tau[r] = Q(X[i], D)
-        return tau
+            by_row[r] = X[i]
+        return by_row, D
 
 
 def _scan(columns: Sequence[Sequence[int]], a: int, step: int) -> tuple[list[int], _Echelon]:
@@ -219,14 +290,12 @@ def minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
 
     The indices must be strictly increasing as integers but may leave [1, n].
     """
-    _check_indices(matrix, indices)
-    return det([matrix.column(a) for a in indices])
+    return minors(matrix, (indices,))[0]
 
 
 def minors(matrix: RationalMatrix, subsets: Iterable[Sequence[int]]) -> list[Fraction]:
-    """``minor`` at each index list, with every column's denominators
-    cleared once for all of them."""
-    columns, scales = _integer_columns(matrix)
+    """``minor`` at each index list, from the stored integer columns."""
+    columns, scales = matrix.columns, matrix.scales
     out = []
     for indices in subsets:
         _check_indices(matrix, indices)
@@ -272,10 +341,10 @@ def matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def rank(matrix: RationalMatrix) -> int:
     echelon = _Echelon(matrix.k)
-    for a in range(1, matrix.n + 1):
+    for c in matrix.columns:
         if not echelon.free:
             break
-        echelon.add(_integer_column(matrix.column(a))[0])
+        echelon.add(c)
     return len(echelon.pivots)
 
 
@@ -307,8 +376,8 @@ class PlueckerVector:
 
 
 def _maximal_minors(matrix: RationalMatrix) -> tuple[dict, tuple]:
-    """The integer maximal minors of the columns cleared of denominators,
-    keyed by 0-based column sets in lexicographic order, and the scales.
+    """The integer maximal minors of the stored columns, keyed by 0-based
+    column sets in lexicographic order, and the scales.
 
     One Laplace expansion along the rows: the minor of the first r+1 rows on
     columns S expands along row r+1 into the minors of the first r rows on S
@@ -316,7 +385,7 @@ def _maximal_minors(matrix: RationalMatrix) -> tuple[dict, tuple]:
     that contains its columns.
     """
     n, k = matrix.n, matrix.k
-    columns, scales = _integer_columns(matrix)
+    columns, scales = matrix.columns, matrix.scales
     minors = {(): 1}
     for r in range(k):
         row = [c[r] for c in columns]
@@ -333,7 +402,7 @@ def _maximal_minors(matrix: RationalMatrix) -> tuple[dict, tuple]:
 
 
 def pluecker(matrix: RationalMatrix) -> PlueckerVector:
-    """All binom(n, k) maximal minors: the integer minors of the cleared
+    """All binom(n, k) maximal minors: the integer minors of the stored
     columns, each divided by the product of its columns' scales."""
     minors, scales = _maximal_minors(matrix)
     coords = {
@@ -368,7 +437,7 @@ def matrix_necklace(matrix: RationalMatrix):
     the span of the others pi(a) = a + n); it and the reverse necklace are
     read off the forward necklace (Knutson-Lam-Speyer).
     """
-    _, forward = _forward_scans(_integer_columns(matrix)[0])
+    _, forward = _forward_scans(matrix.columns)
     pi = perm_from_necklace(forward)
     return pi, forward, necklace_from_perm(pi, "reverse")
 
@@ -379,20 +448,23 @@ def twist(matrix: RationalMatrix, direction: str) -> RationalMatrix:
     For the right twist the defining relations <tau_a, A_b> = delta_ab pair
     column a against the forward necklace element I_a, the basis of a scan
     forward from a; the left twist scans backward, for the reverse necklace.
-    Column a is that scan's pivot 0, so tau_a is read from its echelon.
-    Zero columns twist to zero columns.
+    Column a is that scan's pivot 0, so tau_a is read from its echelon, as
+    an integer column over one denominator.  Zero columns twist to zero
+    columns.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"bad twist direction {direction!r}")
     step = 1 if direction == "right" else -1
-    columns, scales = _integer_columns(matrix)
+    columns, scales = matrix.columns, matrix.scales
     if not any(map(any, columns)):
         raise PreconditionError("matrix is rank deficient")
-    new_columns = [
-        _scan(columns, a, step)[1].dual(scales[a]) if any(c) else [Q(0)] * matrix.k
-        for a, c in enumerate(columns)
-    ]
-    return RationalMatrix.build(list(zip(*new_columns)))
+    return RationalMatrix.of_columns(
+        matrix.k,
+        (
+            _lowest(*_scan(columns, a, step)[1].dual(scales[a])) if any(c) else (c, 1)
+            for a, c in enumerate(columns)
+        ),
+    )
 
 
 def double_twist_mu(matrix: RationalMatrix) -> RationalMatrix:
@@ -404,21 +476,22 @@ def double_twist_mu(matrix: RationalMatrix) -> RationalMatrix:
     coordinates of mu(A) and of the double right twist agree on all face
     source-labels.  Each Delta_{I_i} is read from the forward scan at i: its
     basis columns in scan order have the echelon's determinant over the
-    product of their scales, and sorting them gives the sign.
+    product of their scales, and sorting them gives the sign.  Column i is
+    the integer column of A_{pi(i)} times one integer, over one integer.
     """
     n, k = matrix.n, matrix.k
-    columns, scales = _integer_columns(matrix)
+    columns, scales = matrix.columns, matrix.scales
     scans, forward = _forward_scans(columns)
     pi = perm_from_necklace(forward)
-    neck_minors = [
-        Q(permutation_sign(picked) * echelon.determinant(), prod(scales[j] for j in picked))
-        for picked, echelon in scans
-    ]
+    # Delta_{I_a} = dets[a - 1] / dens[a - 1]
+    dets = [permutation_sign(picked) * echelon.determinant() for picked, echelon in scans]
+    dens = [prod(scales[j] for j in picked) for picked, _ in scans]
     new_columns = []
     for i in range(1, n + 1):
-        ratio = neck_minors[i - 1] / neck_minors[i % n]
         exponent = len(implied_window(pi, i)) + (k - 1) * (1 if pi(i) <= n else 0)
-        sign = Q(-1) ** (exponent % 2)
-        col = matrix.column(pi(i))
-        new_columns.append([sign * ratio * x for x in col])
-    return RationalMatrix.build(list(zip(*new_columns)))
+        factor = dets[i - 1] * dens[i % n]
+        if exponent % 2:
+            factor = -factor
+        j = (pi(i) - 1) % n
+        new_columns.append(_lowest([factor * x for x in columns[j]], dens[i - 1] * dets[i % n] * scales[j]))
+    return RationalMatrix.of_columns(k, new_columns)

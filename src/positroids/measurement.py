@@ -4,7 +4,7 @@ commutative-diagram verification harness.
 
 Edge weightings and face vectors are plain dicts of nonzero Fractions keyed
 by edge/face id; a point is a ``RationalMatrix``, and face maps read one
-maximal minor of it per face, from columns cleared of denominators once.
+maximal minor of it per face, from its stored integer columns.
 All identities are checked by exact evaluation.
 
 What depends on the graph alone is built once per graph and memoized on it:
@@ -15,11 +15,12 @@ columns and counts B_f the inverse monomial map, the Laurent exponents and
 the monodromy's edge cycle read.  A call with a weighting or a face vector
 does only its arithmetic.
 
-That arithmetic runs on integers, and one Fraction is built per value
-returned: the path sums keep each vertex's sum as a reduced (numerator,
-denominator) pair, the monomial map divides the products of a matching's
-numerators and denominators, and the inverse map forms each edge weight and
-the gauge value from the face values' numerators and denominators.
+That arithmetic runs on integers, and at most one Fraction is built per
+value returned: the path sums keep each vertex's sum as a reduced (numerator,
+denominator) pair and build the matrix's integer columns from them, the
+monomial map divides the products of a matching's numerators and
+denominators, and the inverse map forms each edge weight and the gauge
+value from the face values' numerators and denominators.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
     weights = check_weighting(graph, weights)
     if graph.is_reduced()[0]:
         matrix, scale = boundary_measurement_matrix(graph, weights)
-        if not matrix.rows:  # k = 0: the one empty minor is 1
+        if not matrix.k:  # the one empty minor is 1
             return PlueckerVector(graph.n, 0, {(): scale})
         return pluecker(matrix).scaled(scale)
     coords = {I: Q(0) for I in combinations(range(1, graph.n + 1), graph.k)}
@@ -151,12 +152,12 @@ def boundary_measurement_matrix(
     call runs only the path sums, in O(k E) for E edges.  scale is the
     monomial of M0; for k = 0 the matrix has no rows.
 
-    The sums run on reduced integer pairs (numerator, denominator), and one
-    Fraction is built per entry: a product cancels across as Fraction's own
-    does, with two gcds, and a sum follows Henrici's rule, which divides by
-    the gcd of the denominators first.  A denominator may be negative (1/z_e
-    for z_e < 0); the identities hold all the same, and the Fraction built
-    at the end normalizes the sign.
+    The sums run on reduced integer pairs (numerator, denominator): a
+    product cancels across as Fraction's own does, with two gcds, and a sum
+    follows Henrici's rule, which divides by the gcd of the denominators
+    first.  A denominator may be negative (1/z_e for z_e < 0); the
+    identities hold all the same.  Each column of A is built from its pairs
+    with one lcm and one gcd, which also makes its scale positive.
     """
     weights = check_weighting(graph, weights)
     plan = graph._memo("orientation", lambda: _orient(graph))
@@ -167,7 +168,6 @@ def boundary_measurement_matrix(
             num, den = weights[e].as_integer_ratio()
             pairs.append((head, den, num) if inverted else (head, num, den))
         steps.append((v, pairs))
-    zero, one = Q(0), Q(1)
     rows = []
     for source, negate in zip(plan.sources, plan.negate):
         paths = {source: (1, 1)}
@@ -194,12 +194,12 @@ def boundary_measurement_matrix(
         row = []
         for j, odd in enumerate(negate, 1):
             if odd is None:
-                row.append(one if j == source else zero)
+                row.append((1 if j == source else 0, 1))
             else:
                 num, den = paths.get(j, (0, 1))
-                row.append(Fraction(-num if odd else num, den))
-        rows.append(tuple(row))
-    return RationalMatrix(tuple(rows)), monomial(weights, plan.m0)
+                row.append((-num if odd else num, den))
+        rows.append(row)
+    return RationalMatrix.of_ratios(len(rows), zip(*rows)), monomial(weights, plan.m0)
 
 
 def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
@@ -249,8 +249,7 @@ def matrix_from_pluecker(p: PlueckerVector) -> RationalMatrix:
 
 def face_pluecker(graph: PlabicGraph, point: RationalMatrix, mode: str) -> dict:
     """Face vector of a point's Plucker coordinates at the source or target
-    labels: one maximal minor of the matrix per face, every column's
-    denominators cleared once for all of them."""
+    labels: one maximal minor of the matrix's integer columns per face."""
     labels = graph.face_labels(mode)
     out = dict(zip(labels, minors(point, labels.values())))
     for fid, value in out.items():
@@ -407,7 +406,9 @@ def _scaled(network: tuple[RationalMatrix, Fraction]) -> RationalMatrix:
     """The path-sum matrix with its first row times the scale: its maximal
     minors are the measurement."""
     matrix, scale = network
-    return RationalMatrix((tuple(scale * x for x in matrix.rows[0]), *matrix.rows[1:]))
+    p, q = scale.as_integer_ratio()
+    columns = ([(c[0] * p, d * q)] + [(x, d) for x in c[1:]] for c, d in zip(matrix.columns, matrix.scales))
+    return RationalMatrix.of_ratios(matrix.k, columns)
 
 
 def _outcome(check: str, trial: int, z: dict, failure) -> dict:

@@ -17,6 +17,7 @@ from typing import Optional
 from .core import BoundedAffinePermutation
 from .linalg import Q, as_fraction
 from .errors import json_shape
+from .measurement import check_weighting
 from .plabic import PlabicGraph
 
 
@@ -158,7 +159,7 @@ class _Draft:
             self.edges = dict(graph.edges)
             self.rotations = {v: list(r) for v, r in graph.rotations.items()}
             self.pendant = {i: graph.pendant_edge(i) for i in graph.boundary_vertices()}
-        self.weights = {e: as_fraction(w) for e, w in (weights or {}).items()}
+        self.weights = dict(weights or {})
         self._scan_from = {}  # prefix -> index below which every name is taken
 
     def fresh(self, prefix: str, taken: dict) -> str:
@@ -324,8 +325,11 @@ class _Draft:
         return {"vertex": v, "edge": e}
 
     def boundary_vertex(self, i: int) -> None:
-        """Split the pendant edge at i by a vertex of the opposite color."""
+        """Split the pendant edge at i by a vertex of the opposite color; a
+        lollipop at i would become an interior leaf, so it is refused."""
         pe, u = self.pendant_end(i)
+        if len(self.rotations[u]) == 1:
+            raise ValueError(f"boundary vertex {i} ends at lollipop {u!r}")
         v_new = self.fresh("bd", self.colors)
         e_new = self.fresh("pe", self.edges)
         self.colors[v_new] = _OTHER_COLOR[self.colors[u]]
@@ -386,8 +390,11 @@ class _Draft:
 
 def _edit(graph: PlabicGraph, weights: Optional[dict], step, *args) -> MoveResult:
     """Run one draft step on a copy of the graph and its weights (unit
-    weights when none are given), then validate the new graph once."""
-    draft = _Draft(graph, weights if weights is not None else dict.fromkeys(graph.edges, Q(1)))
+    weights when none are given), then validate the new graph once.  A
+    missing or zero weight raises ValueError naming its edge."""
+    if weights is None:
+        weights = dict.fromkeys(graph.edges, Q(1))
+    draft = _Draft(graph, check_weighting(graph, weights))
     note = step(draft, *args)
     return MoveResult(draft.build(), draft.weights, note)
 

@@ -157,6 +157,17 @@ def test_move_checks_the_weighting_first(tmp_path, leg1):
     assert "'leg1'" in result.stderr, result.stderr
 
 
+def test_move_refuses_boundary_add_at_a_lollipop(tmp_path):
+    # 1 is a fixed point of the permutation, so boundary vertex 1 ends at a
+    # lollipop, which a boundary vertex would turn into an interior leaf
+    gpath, wpath, spath = tmp_path / "g.json", tmp_path / "w.json", tmp_path / "moves.json"
+    gpath.write_text(run_cli("synth", "--perm", "1,3,5"))
+    wpath.write_text(json.dumps({e["id"]: "1" for e in json.loads(gpath.read_text())["edges"]}))
+    spath.write_text(json.dumps([{"kind": "boundary-add", "site": 1}]))
+    result = run_cli_result("move", str(gpath), str(wpath), "--spec", str(spath), expect=1)
+    assert result.stderr == "error: boundary vertex 1 ends at lollipop 'lp0'\n", result.stderr
+
+
 def test_laurent():
     out = json.loads(run_cli("laurent", str(FIXTURES / "d4.json"), "--J", "2,4,6,8"))
     assert len(out["terms"]) == 17

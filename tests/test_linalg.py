@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,17 @@ from positroids.linalg import (
     RationalMatrix,
     _Echelon,
     _integer_column,
+    as_fraction,
     det,
     double_twist_mu,
     matrix_necklace,
     minor,
+    minors,
+    permutation_sign,
     pluecker,
     rank,
     signed_minor,
+    support,
     twist,
 )
 from positroids.measurement import matrix_from_pluecker, measure, random_weighting
@@ -477,6 +482,10 @@ def awkward_entry(rng):
 
 
 def awkward_matrix(rng, k, n):
+    return RationalMatrix.build(awkward_rows(rng, k, n))
+
+
+def awkward_rows(rng, k, n):
     """Zero columns, columns parallel to earlier ones and, half the time, a
     coloop: the last row vanishes outside one column."""
     columns = []
@@ -493,7 +502,7 @@ def awkward_matrix(rng, k, n):
         coloop = rng.randrange(n)
         for j, c in enumerate(columns):
             c[-1] = Q(rng.randint(1, 5)) if j == coloop else Q(0)
-    return RationalMatrix.build(list(zip(*columns)))
+    return list(zip(*columns))
 
 
 def test_det_small_cases():
@@ -775,3 +784,201 @@ def test_matrix_necklace_property(m):
 @given(exact_matrices())
 def test_pluecker_property(m):
     assert_pluecker_matches_minors(m)
+
+
+# -- the stored integer columns: parsing, printing and equality --
+
+
+def parent_as_fraction(x):
+    """``as_fraction`` as it was before plain strings were read with int()."""
+    if isinstance(x, Q):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Q(x)
+    if isinstance(x, str):
+        try:
+            return Q(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"not an exact rational: {x!r}")
+
+
+ODD_STRINGS = [
+    "2/4", "-0", "007", "+3", " 3", "3 ", "1.5", "1e3", "3/-4", "1/0", "0/0", "-0/7", "1/00",
+    "-6/04", "", "-", "/", "1/", "/2", "--1", "1//2", "1/2/3", "1_000", "\u0663", "1/\u0663",
+    "\uff11", "\u00b2", "123456789012345678901234567890/987654321098765432109876543210",
+]
+ENTRIES = st.one_of(
+    st.sampled_from(ODD_STRINGS),
+    st.text(alphabet="0123456789-/+ ._e\u0663", max_size=8),
+    st.integers(),
+    st.fractions(),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+
+
+def parsed(parse, x):
+    try:
+        return "value", parse(x)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ENTRIES)
+def test_build_and_as_fraction_parse_entries_alike(x):
+    want = parsed(parent_as_fraction, x)
+    assert parsed(as_fraction, x) == want
+    assert parsed(lambda v: RationalMatrix.build([[v]]).column(1)[0], x) == want
+
+
+def test_odd_strings_parse_as_before():
+    for x in [*ODD_STRINGS, True, False, 1.5]:
+        assert parsed(as_fraction, x) == parsed(parent_as_fraction, x), x
+    assert parsed(as_fraction, "1/0") == ("error", "zero denominator in '1/0'")
+    assert parsed(as_fraction, True) == ("error", "not an exact rational: True")
+
+
+FRACTION_ROWS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.fractions(), min_size=n, max_size=n), min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(FRACTION_ROWS)
+def test_columns_are_in_lowest_terms_and_print_as_fractions(rows):
+    m = assert_lowest_terms(RationalMatrix.build(rows))
+    assert m.to_json() == {"k": len(rows), "n": len(rows[0]), "rows": [[str(x) for x in row] for row in rows]}
+    assert m.rows == tuple(map(tuple, rows))
+    assert RationalMatrix.from_json(m.to_json()) == m
+
+
+def assert_lowest_terms(m):
+    for c, d in zip(m.columns, m.scales):
+        assert len(c) == m.k and d > 0 and gcd(*c, d) == 1, (c, d)
+    return m
+
+
+def test_equal_values_give_equal_matrices():
+    a = RationalMatrix.build([["1/2", "2/4", 0], ["-0", 3, "-6/4"]])
+    b = RationalMatrix.build([[Q(1, 2), "1/2", "0/5"], [0, "6/2", Q(-3, 2)]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.k, a.columns, a.scales) == (2, ((1, 0), (1, 6), (0, -3)), (2, 2, 2))
+    assert a != RationalMatrix.build([["1/2", "1/2", 0], [0, "7/2", "-3/2"]])
+    assert RationalMatrix(a.rows) == a
+    empty = RationalMatrix(())
+    assert (empty.k, empty.n, empty.rows) == (0, 0, ())
+
+
+# -- reference: the Fraction rows whose columns every kernel call cleared of
+# denominators again, on the same elimination kernel --
+
+
+def cleared(rows):
+    """Columns 1..n of Fraction rows times their denominators' lcm, and those lcms."""
+    return tuple(zip(*(_integer_column(column) for column in zip(*rows))))
+
+
+def reference_minors(rows, subsets):
+    columns, scales = cleared(rows)
+    return [
+        linalg._determinant([columns[a - 1] for a in I], [scales[a - 1] for a in I]) for I in subsets
+    ]
+
+
+def reference_pluecker(rows):
+    subsets = list(combinations(range(1, len(rows[0]) + 1), len(rows)))
+    return dict(zip(subsets, reference_minors(rows, subsets)))
+
+
+def reference_necklace(rows):
+    _, forward = linalg._forward_scans(cleared(rows)[0])
+    pi = perm_from_necklace(forward)
+    return pi, forward, necklace_from_perm(pi, "reverse")
+
+
+def reference_twist(rows, direction):
+    columns, scales = cleared(rows)
+    if not any(map(any, columns)):
+        raise PreconditionError("matrix is rank deficient")
+    step = 1 if direction == "right" else -1
+    new_columns = []
+    for a, c in enumerate(columns):
+        if any(c):
+            X, D = linalg._scan(columns, a, step)[1].dual(scales[a])
+            new_columns.append([Q(x, D) for x in X])
+        else:
+            new_columns.append([Q(0)] * len(rows))
+    return tuple(zip(*new_columns))
+
+
+def reference_mu(rows):
+    k, n = len(rows), len(rows[0])
+    columns, scales = cleared(rows)
+    scans, forward = linalg._forward_scans(columns)
+    pi = perm_from_necklace(forward)
+    neck_minors = [
+        Q(permutation_sign(picked) * echelon.determinant(), prod(scales[j] for j in picked))
+        for picked, echelon in scans
+    ]
+    new_columns = []
+    for i in range(1, n + 1):
+        ratio = neck_minors[i - 1] / neck_minors[i % n]
+        exponent = len(implied_window(pi, i)) + (k - 1) * (1 if pi(i) <= n else 0)
+        sign = Q(-1) ** (exponent % 2)
+        new_columns.append([sign * ratio * row[(pi(i) - 1) % n] for row in rows])
+    return tuple(zip(*new_columns))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except PreconditionError as exc:
+        return PreconditionError, str(exc)
+
+
+
+def unreduced(rng, x):
+    """x as a 'p/q' string with p and q times a common factor."""
+    t = rng.randint(1, 3)
+    return f"{x.numerator * t}/{x.denominator * t}"
+
+
+def test_stored_columns_match_the_fraction_row_reference():
+    # awkward matrices bring zero, parallel and coloop columns; their
+    # deficient twins replace a row by a combination of the others
+    rng = random.Random(50)
+    for k in range(1, 6):
+        for n in range(k, 10):
+            rows = awkward_rows(rng, k, n)
+            cases = [(rows, False)]
+            if k > 1:
+                r = rng.randrange(k)
+                others = [row for i, row in enumerate(rows) if i != r]
+                weights = [awkward_entry(rng) for _ in others]
+                combo = tuple(sum((w * row[j] for w, row in zip(weights, others)), Q(0)) for j in range(n))
+                cases.append((rows[:r] + [combo] + rows[r + 1 :], True))
+            for rows, deficient in cases:
+                m = RationalMatrix.build([[unreduced(rng, x) for x in row] for row in rows])
+                assert m.rows == tuple(rows)
+                subsets = [sorted(rng.sample(range(1, n + 1), k)) for _ in range(5)]
+                assert minors(m, subsets) == reference_minors(rows, subsets)
+                assert pluecker(m).coords == reference_pluecker(rows)
+                assert support(m) == sorted(I for I, v in reference_pluecker(rows).items() if v)
+                necklace = outcome(reference_necklace, rows)
+                assert outcome(matrix_necklace, m) == necklace
+                # matrices compare by their columns and scales, so equal
+                # values must come out in the same lowest terms
+                got = [outcome(twist, m, "right"), outcome(twist, m, "left"), outcome(double_twist_mu, m)]
+                assert got == [
+                    outcome(lambda: RationalMatrix.build(reference_twist(rows, "right"))),
+                    outcome(lambda: RationalMatrix.build(reference_twist(rows, "left"))),
+                    outcome(lambda: RationalMatrix.build(reference_mu(rows))),
+                ]
+                for result in got:
+                    if isinstance(result, RationalMatrix):
+                        assert_lowest_terms(result)
+                if deficient:
+                    assert necklace[0] is PreconditionError

@@ -588,6 +588,15 @@ def signed(weights, rng):
     return {e: rng.choice((1, -1)) * w for e, w in sorted(weights.items())}
 
 
+def test_measure_matches_enumeration_at_signed_weights():
+    # a negative weight puts negative denominators into the path sums, which
+    # the matrix's columns must carry over a positive scale
+    rng = random.Random(48)
+    for g in plan_graphs():
+        if len(g.edges) <= 16:
+            assert_measure_matches_enumeration(g, signed(random_weighting(g, rng), rng))
+
+
 def test_boundary_measurement_matrix_matches_the_per_call_orientation():
     # Fraction path sums at random weights, at signed ones, whose paths mix
     # signs, and at the inverse monomial map's weights, which carry a large

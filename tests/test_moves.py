@@ -134,7 +134,8 @@ def test_urban_renewal_is_the_exchange_relation():
 def legal_moves(graph):
     """Every contract, expand (each first edge and count), boundary-add,
     boundary-remove and urban-renewal move that applies to the graph; a
-    lollipop takes no boundary-add, which would leave it an interior leaf."""
+    lollipop takes no boundary-add, which would leave it an interior leaf,
+    and the move refuses it by naming the site."""
     out = [
         Move("urban-renewal", f.id)
         for f in graph.faces()
@@ -149,8 +150,14 @@ def legal_moves(graph):
         elif len(rot) == 2 and at_boundary == 0 and ends[0] != ends[1]:
             out.append(Move("contract", v))
         out += [Move("expand", v, {"first_edge": e, "count": c}) for e in rot for c in range(1, len(rot))]
-    pendant_ends = {i: graph.other_end(graph.pendant_edge(i), i) for i in graph.boundary_vertices()}
-    return out + [Move("boundary-add", i) for i, u in pendant_ends.items() if len(graph.rotations[u]) > 1]
+    for i in graph.boundary_vertices():
+        u = graph.other_end(graph.pendant_edge(i), i)
+        if len(graph.rotations[u]) > 1:
+            out.append(Move("boundary-add", i))
+            continue
+        with pytest.raises(ValueError, match=f"^boundary vertex {i} ends at lollipop {u!r}$"):
+            apply_move(graph, None, Move("boundary-add", i))
+    return out
 
 
 # tri6's measurement has binom(18, 6) coordinates; its move scripts are a CI guard
@@ -204,6 +211,22 @@ def test_apply_move_dispatch(square4):
     assert res.note["factor"] == 2
     with pytest.raises(ValueError):
         apply_move(square4, z, Move("mystery", "f1"))
+
+
+@pytest.mark.parametrize("leg1", [None, Q(0)], ids=["missing", "zero"])
+def test_moves_check_the_weighting(square4, leg1):
+    # boundary-add and expand read no weight, yet both refuse a bad one, by
+    # name, before editing the graph
+    z = {e: Q(2) for e in square4.edges}
+    if leg1 is None:
+        del z["leg1"]
+    else:
+        z["leg1"] = leg1
+    for move in (Move("boundary-add", 2), Move("expand", "v1", {"first_edge": "leg1", "count": 1})):
+        with pytest.raises(ValueError, match="weight .*'leg1'"):
+            apply_move(square4, z, move)
+    with pytest.raises(ValueError, match="'leg1'"):
+        add_boundary_vertex(square4, 1, {})
 
 
 def test_black_lollipop_pluecker(square4):
