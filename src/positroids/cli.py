@@ -18,8 +18,8 @@ from .core import BoundedAffinePermutation, length
 from .errors import PreconditionError, json_shape
 from .linalg import RationalMatrix, as_fraction, double_twist_mu, twist
 from .matchings import enumerate_matchings, graph_positroid, matching_boundary
-from .measurement import check_weighting, measure, twisted_pluecker_laurent, verify_diagram
-from .moves import Move, apply_move, synthesize
+from .measurement import measure, twisted_pluecker_laurent, verify_diagram
+from .moves import Move, run_script, synthesize
 from .plabic import GraphError, PlabicGraph
 
 
@@ -70,7 +70,7 @@ def parse_subset(graph: PlabicGraph, text: str) -> tuple:
 
 def emit(payload) -> None:
     """The payload as indented JSON with sorted keys, in one write."""
-    sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(fixtures.json_text(payload) + "\n")
 
 
 def cmd_inspect(args) -> None:
@@ -154,26 +154,23 @@ def cmd_synth(args) -> None:
 
 
 def cmd_move(args) -> None:
-    g = load_graph(args.graph)
-    # a step that reads no weight would carry a missing or zero one through
-    z = check_weighting(g, load_weights(args.weights))
-    script = json_shape(read_json(args.spec), list, "a move script")
-    notes = []
-    for step in script:
-        step = json_shape(step, dict, "a move step")
-        move = Move(step["kind"], step.get("site"), step.get("params"))
-        result = apply_move(g, z, move)
-        g, z = result.graph, result.weights
-        notes.append(
-            {k: str(v) for k, v in (result.note or {}).items()}
-        )
+    g, z, notes = run_script(load_graph(args.graph), load_weights(args.weights), _script(args.spec))
     emit(
         {
             "graph": g.to_json(),
             "weights": {e: str(v) for e, v in sorted(z.items())},
-            "notes": notes,
+            "notes": [{k: str(v) for k, v in (note or {}).items()} for note in notes],
         }
     )
+
+
+def _script(path: str):
+    """The moves of a ``move --spec`` file.  A generator: the file is read
+    after ``run_script`` has checked the weighting, and each step's shape is
+    checked when its turn comes, after the steps before it have run."""
+    for step in json_shape(read_json(path), list, "a move script"):
+        step = json_shape(step, dict, "a move step")
+        yield Move(step["kind"], step.get("site"), step.get("params"))
 
 
 def cmd_laurent(args) -> None:
@@ -230,7 +227,7 @@ def cmd_regen_golden(args) -> None:
             continue  # its positroid enumeration is deliberately not cheap
         payload = inspect_payload(fixtures.load(name))
         path = golden_dir / f"inspect_{name}.json"
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        path.write_text(fixtures.json_text(payload) + "\n")
         paths.append(path)
     emit({"written": [str(p) for p in paths]})
 

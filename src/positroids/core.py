@@ -8,9 +8,8 @@ pi(a) = a is a "black" fixed point and pi(a) = a + n a "white" one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 
 def ksubset(members: Iterable[int], n: int) -> tuple[int, ...]:
@@ -218,6 +217,8 @@ class Positroid:
     bases: frozenset[tuple[int, ...]]
     n: int
     k: int
+    # the forward necklace, when the positroid was built from it
+    necklace: Optional[GrassmannNecklace] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.bases:
@@ -227,10 +228,13 @@ class Positroid:
                 raise ValueError("basis of wrong size")
 
     def forward_necklace(self) -> GrassmannNecklace:
+        if self.necklace is not None:
+            return self.necklace
         return necklace_from_bases(self.bases, self.n, "forward")
 
     def reverse_necklace(self) -> GrassmannNecklace:
-        return necklace_from_bases(self.bases, self.n, "reverse")
+        """Read off the permutation, as for a matrix (Knutson-Lam-Speyer)."""
+        return necklace_from_perm(self.perm(), "reverse")
 
     def perm(self) -> BoundedAffinePermutation:
         return perm_from_necklace(self.forward_necklace())
@@ -249,17 +253,33 @@ def necklace_from_bases(bases: Iterable[Sequence[int]], n: int, direction: str =
 
 
 def positroid_from_necklace(neck: GrassmannNecklace) -> Positroid:
-    """All k-subsets J with I_a <= J in every shifted Gale order (Oh's construction)."""
+    """All k-subsets J with I_a <= J in every shifted Gale order (Oh's construction).
+
+    I_a <=_a J holds exactly when every initial interval [a, a+t) of the
+    order from a holds at least as many members of I_a as of J.  Only the
+    intervals that end just before a member of I_a can bind, and of those
+    only the ones holding fewer than t members; each J, a bitmask, is
+    tested against them by one popcount each.
+    """
     if neck.direction != "forward":
         raise ValueError("positroid_from_necklace expects a forward necklace")
     neck.check()
     n, k = neck.n, neck.k
-    keys = [gale_key(neck.element(a), a, n) for a in range(1, n + 1)]
+    full = (1 << n) - 1
+    cuts = set()  # (mask of an interval [a, a+r), the most members of J it may hold)
+    for a, element in enumerate(neck.elements):
+        for j, r in enumerate(sorted((x - 1 - a) % n for x in element)):
+            if r > j:
+                mask = ((1 << r) - 1) << a
+                cuts.add(((mask | mask >> n) & full, j))
     bases = []
-    for J in combinations(range(1, n + 1), k):
-        if all(
-            all(x <= y for x, y in zip(keys[a - 1], gale_key(J, a, n)))
-            for a in range(1, n + 1)
-        ):
-            bases.append(J)
-    return Positroid(frozenset(bases), n, k)
+    for J in range(1 << n):  # bit x - 1 stands for member x
+        if J.bit_count() != k:
+            continue
+        for mask, most in cuts:
+            if (J & mask).bit_count() > most:
+                break
+        else:
+            bases.append(tuple(x + 1 for x in range(n) if J >> x & 1))
+    return Positroid(frozenset(bases), n, k, neck)
+

@@ -4,7 +4,8 @@ All fixtures are transcribed from drawings: internal vertices carry plane
 coordinates and the clockwise rotation at each vertex is recovered by sorting
 incident edges by decreasing angle.  The JSON files under ``fixtures/`` are
 generated from these builders and are the single source of truth for tests;
-``load`` reads them back.
+``load`` reads them back.  ``json_text`` is the one indented-JSON writer: it
+writes these files, the ``inspect`` goldens and every CLI payload.
 """
 from __future__ import annotations
 
@@ -15,6 +16,67 @@ from pathlib import Path
 from .plabic import PlabicGraph
 
 FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
+
+_ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper, where there is one
+
+
+class _NotPlain(Exception):
+    """A value that ``json_text`` leaves to ``json.dumps``."""
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=1, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python
+    encoder.  This writes str-keyed dicts, lists, strings, ints, bools and
+    None itself, escaping each string with ``encode_basestring_ascii``, and
+    leaves a payload holding anything else to ``json.dumps``.
+    """
+    parts = []
+    try:
+        _write(payload, parts, "\n")
+    except _NotPlain:
+        return json.dumps(payload, indent=1, sort_keys=True)
+    return "".join(parts)
+
+
+def _write(x, parts: list, newline: str) -> None:
+    """Append the text of x, whose lines inside start with ``newline``."""
+    kind = type(x)
+    if kind is str:
+        parts.append(_ESCAPE(x))
+    elif kind is int:
+        parts.append(int.__repr__(x))
+    elif kind is list:
+        if not x:
+            parts.append("[]")
+            return
+        inner, sep = newline + " ", "["
+        for item in x:
+            parts.append(sep + inner)
+            _write(item, parts, inner)
+            sep = ","
+        parts.append(newline + "]")
+    elif kind is dict:
+        if not x:
+            parts.append("{}")
+            return
+        inner, sep = newline + " ", "{"
+        for key in sorted(x):
+            if type(key) is not str:
+                raise _NotPlain
+            parts.append(sep + inner + _ESCAPE(key) + ": ")
+            _write(x[key], parts, inner)
+            sep = ","
+        parts.append(newline + "}")
+    elif x is None:
+        parts.append("null")
+    elif x is True:
+        parts.append("true")
+    elif x is False:
+        parts.append("false")
+    else:
+        raise _NotPlain
 
 
 def _rotations_from_coords(coords, edges, internal):
@@ -339,7 +401,7 @@ def write_fixture_files(directory: Path | None = None) -> list[Path]:
     written = []
     for name, builder in BUILDERS.items():
         path = directory / f"{name}.json"
-        path.write_text(json.dumps(builder().to_json(), indent=1, sort_keys=True) + "\n")
+        path.write_text(json_text(builder().to_json()) + "\n")
         written.append(path)
     return written
 

@@ -95,13 +95,13 @@ def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[froze
 
 
 def graph_positroid(graph: PlabicGraph) -> Positroid:
-    """Distinct matching boundaries, cross-checked against Oh's construction."""
+    """Distinct matching boundaries, cross-checked against Oh's construction
+    from their forward necklace, which the result keeps."""
     boundaries = {matching_boundary(graph, m) for m in enumerate_matchings(graph)}
     if not boundaries:
         raise PreconditionError("graph admits no matching")
-    pos = Positroid(frozenset(boundaries), graph.n, graph.k)
-    oh = positroid_from_necklace(necklace_from_bases(boundaries, graph.n, "forward"))
-    if oh.bases != pos.bases:
+    pos = positroid_from_necklace(necklace_from_bases(boundaries, graph.n, "forward"))
+    if pos.bases != boundaries:
         raise AssertionError("matching boundaries are not a positroid")
     return pos
 

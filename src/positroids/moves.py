@@ -4,15 +4,16 @@ reduced graph from a bounded affine permutation.
 Every move returns a new graph plus the transported edge weights; boundary
 measurements are preserved exactly (urban renewal applies its gauge factor at
 a recorded vertex to stay exact at the cone level).  Each move is a step of
-``_Draft``, which edits plain dicts in place; the public functions run one
-step on a copy of the graph and build and validate the result once, and
-``synthesize`` runs its whole script on one draft.
+``_Draft``, which edits plain dicts in place.  ``run_script`` runs a whole
+script of moves on one draft and builds and validates one graph at the end;
+``apply_move`` and the public functions are its one-step case, and
+``synthesize`` runs its lollipop and bridge script on one draft as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import BoundedAffinePermutation
 from .linalg import Q, as_fraction
@@ -31,7 +32,7 @@ class MoveResult:
 def contract(graph: PlabicGraph, vertex: str, weights: dict) -> MoveResult:
     """Delete a degree-2 internal vertex not at the boundary, merging its
     neighbors; edges on either side pick up the opposite connecting weight."""
-    return _edit(graph, weights, _Draft.contract, vertex)
+    return apply_move(graph, weights, Move("contract", vertex))
 
 
 def expand(
@@ -44,20 +45,20 @@ def expand(
     """Split ``count`` cyclically consecutive edges (starting at ``first_edge``
     in the rotation) off ``vertex`` onto a same-colored vertex, joined
     through a new degree-2 vertex of the opposite color with unit weights."""
-    return _edit(graph, weights, _Draft.expand, vertex, first_edge, count)
+    return apply_move(graph, weights, Move("expand", vertex, {"first_edge": first_edge, "count": count}))
 
 
 def remove_boundary_vertex(graph: PlabicGraph, vertex: str, weights: dict) -> MoveResult:
     """Delete a degree-2 internal vertex adjacent to the boundary; the inner
     edge keeps its weight and reaches the boundary, the merged vertex's other
     edges scale by the removed outer weight."""
-    return _edit(graph, weights, _Draft.remove_boundary_vertex, vertex)
+    return apply_move(graph, weights, Move("boundary-remove", vertex))
 
 
 def add_boundary_vertex(graph: PlabicGraph, i: int, weights: dict) -> MoveResult:
     """Insert a degree-2 vertex of the opposite color in the middle of the
     pendant edge at boundary vertex i; the new outer edge has weight 1."""
-    return _edit(graph, weights, _Draft.boundary_vertex, i)
+    return apply_move(graph, weights, Move("boundary-add", i))
 
 
 def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult:
@@ -67,13 +68,30 @@ def urban_renewal(graph: PlabicGraph, face_id: str, weights: dict) -> MoveResult
     denominator at the lexicographically least internal vertex of the new
     graph, recorded in the note.
     """
-    face = graph.face_by_id(face_id)
-    if face.kind != "internal" or len(set(face.edges)) != 4 or len(face.edges) != 4:
-        raise ValueError(f"face {face_id} is not an internal square")
-    corners = [d[2] for d in face.walk]  # corner idx has face edges idx and idx+1
-    if len(set(corners)) != 4:
-        raise ValueError(f"face {face_id} is not an embedded square")
-    return _edit(graph, weights, _Draft.urban_renewal, corners, face.edges)
+    return apply_move(graph, weights, Move("urban-renewal", face_id))
+
+
+def add_lollipop(graph: PlabicGraph, i: int, color: str, weights: Optional[dict] = None) -> MoveResult:
+    """Insert a lollipop of the given color at boundary position i."""
+    return apply_move(graph, weights, Move(f"{color}-lollipop", i))
+
+
+def add_bridge(
+    graph: PlabicGraph,
+    i: int,
+    side: str,
+    t: Fraction = Q(1),
+    weights: Optional[dict] = None,
+) -> MoveResult:
+    """Add a left or right bridge between boundary vertices i and i+1.
+
+    A left bridge hangs a white vertex over i+1 and a black one over i (the
+    trip permutation becomes s_i o pi); a right bridge is mirrored (pi o s_i).
+    Legality: left needs pi^{-1}(i) > pi^{-1}(i+1), right needs pi(i) > pi(i+1).
+    The bridge edge gets weight t and the new pendant stubs weight 1, so the
+    Plucker transform has parameter exactly t.
+    """
+    return apply_move(graph, weights, Move(f"{side}-bridge", i, {"t": t}))
 
 
 @dataclass(frozen=True)
@@ -98,36 +116,26 @@ _SITE_TYPE = {
 }
 
 
-def apply_move(graph: PlabicGraph, weights: dict, move: Move) -> MoveResult:
-    """Apply one move; a move whose fields have the wrong shape (a step of a
-    ``move --spec`` script, say) raises ValueError before the graph is read."""
-    kind, site = move.kind, move.site
-    if not isinstance(kind, str):
-        raise ValueError(f"move kind must be a string, got {kind!r:.60}")
-    if kind not in _SITE_TYPE:
-        raise ValueError(f"unknown move kind {kind!r}")
-    if type(site) is not _SITE_TYPE[kind]:
-        what = "a boundary position (an integer)" if _SITE_TYPE[kind] is int else "an id (a string)"
-        raise ValueError(f"{kind} site must be {what}, got {site!r:.60}")
-    params = json_shape({} if move.params is None else move.params, dict, f"{kind} params")
-    if kind == "contract":
-        return contract(graph, site, weights)
-    if kind == "expand":
-        first_edge, count = params.get("first_edge"), params.get("count")
-        if not isinstance(first_edge, str) or type(count) is not int:
-            raise ValueError(
-                f"expand params need first_edge (an edge id) and count (an integer), got {move.params!r:.60}"
-            )
-        return expand(graph, site, first_edge, count, weights)
-    if kind == "boundary-remove":
-        return remove_boundary_vertex(graph, site, weights)
-    if kind == "boundary-add":
-        return add_boundary_vertex(graph, site, weights)
-    if kind == "urban-renewal":
-        return urban_renewal(graph, site, weights)
-    if kind in ("black-lollipop", "white-lollipop"):
-        return add_lollipop(graph, site, kind.split("-")[0], weights)
-    return add_bridge(graph, site, kind.split("-")[0], as_fraction(params.get("t", 1)), weights)
+def apply_move(graph: PlabicGraph, weights: Optional[dict], move: Move) -> MoveResult:
+    """One move: the one-step script of ``run_script``."""
+    graph, weights, (note,) = run_script(graph, weights, (move,))
+    return MoveResult(graph, weights, note)
+
+
+def run_script(graph: PlabicGraph, weights: Optional[dict], moves: Iterable[Move]) -> tuple:
+    """(graph, weights, notes) after the moves, run in order on one draft.
+
+    The weighting (unit weights when none is given) is checked once, up
+    front: a missing or zero weight raises ValueError naming its edge, and no
+    move makes one.  Each move is taken from ``moves`` and its fields' shape
+    checked only when its turn comes, so an earlier move's error is the one
+    raised.  The result is built and validated once, at the end.
+    """
+    if weights is None:
+        weights = dict.fromkeys(graph.edges, Q(1))
+    draft = _Draft(graph, check_weighting(graph, weights))
+    notes = [draft.step(move) for move in moves]
+    return draft.graph(), draft.weights, notes
 
 
 # -- the draft every move edits -------------------------------------------
@@ -138,10 +146,12 @@ _OTHER_COLOR = {"white": "black", "black": "white"}
 
 class _Draft:
     """A graph under construction: plain color, edge and rotation dicts, the
-    pendant edge at each boundary vertex and the edge weights.  Each move is
-    a step that changes them in place: ``contract``, ``expand``,
-    ``boundary_vertex`` and ``remove_boundary_vertex``, ``urban_renewal``,
-    ``lollipop`` and ``bridge``.  ``build`` validates the result once.
+    pendant edge at each boundary vertex and the edge weights, which the
+    draft owns.  Each move is a step that changes them in place:
+    ``contract``, ``expand``, ``boundary_vertex`` and
+    ``remove_boundary_vertex``, ``urban_renewal``, ``lollipop`` and
+    ``bridge``; ``step`` runs one ``Move``.  ``graph`` builds and validates
+    the graph the dicts describe, once per state of the draft.
 
     Each step names its new vertices and edges with ``fresh`` over the
     current dicts, so a script run on one draft gives the same graph, ids
@@ -159,8 +169,9 @@ class _Draft:
             self.edges = dict(graph.edges)
             self.rotations = {v: list(r) for v, r in graph.rotations.items()}
             self.pendant = {i: graph.pendant_edge(i) for i in graph.boundary_vertices()}
-        self.weights = dict(weights or {})
+        self.weights = {} if weights is None else weights
         self._scan_from = {}  # prefix -> index below which every name is taken
+        self._graph = graph  # the validated graph of the dicts as they stand, if built
 
     def fresh(self, prefix: str, taken: dict) -> str:
         """The first of prefix0, prefix1, ... not in taken."""
@@ -170,8 +181,68 @@ class _Draft:
         self._scan_from[prefix] = i
         return f"{prefix}{i}"
 
-    def build(self) -> PlabicGraph:
-        return PlabicGraph(self.n, self.colors, self.edges, self.rotations)
+    def graph(self) -> PlabicGraph:
+        if self._graph is None:
+            self._graph = PlabicGraph(self.n, self.colors, self.edges, self.rotations)
+        return self._graph
+
+    def step(self, move: Move) -> Optional[dict]:
+        """Run one move and return its note; a move whose fields have the
+        wrong shape (a step of a ``move --spec`` script, say) raises
+        ValueError before the draft is read.  Urban renewal (a face by id)
+        and the bridges (the trip permutation) read the graph, so they build
+        it first."""
+        kind, site = move.kind, move.site
+        if not isinstance(kind, str):
+            raise ValueError(f"move kind must be a string, got {kind!r:.60}")
+        if kind not in _SITE_TYPE:
+            raise ValueError(f"unknown move kind {kind!r}")
+        if type(site) is not _SITE_TYPE[kind]:
+            what = "a boundary position (an integer)" if _SITE_TYPE[kind] is int else "an id (a string)"
+            raise ValueError(f"{kind} site must be {what}, got {site!r:.60}")
+        params = json_shape({} if move.params is None else move.params, dict, f"{kind} params")
+        side_or_color = kind.split("-")[0]
+        if kind == "expand":
+            first_edge, count = params.get("first_edge"), params.get("count")
+            if not isinstance(first_edge, str) or type(count) is not int:
+                raise ValueError(
+                    f"expand params need first_edge (an edge id) and count (an integer), got {move.params!r:.60}"
+                )
+        elif kind == "urban-renewal":
+            try:
+                face = self.graph().face_by_id(site)
+            except KeyError:
+                raise ValueError(f"no face {site!r}") from None
+            if face.kind != "internal" or len(set(face.edges)) != 4 or len(face.edges) != 4:
+                raise ValueError(f"face {site} is not an internal square")
+            corners = [d[2] for d in face.walk]  # corner idx has face edges idx and idx+1
+            if len(set(corners)) != 4:
+                raise ValueError(f"face {site} is not an embedded square")
+        elif kind.endswith("-bridge"):
+            t = as_fraction(params.get("t", 1))
+            if t == 0:
+                raise ValueError("bridge weight must be nonzero")
+            pi = self.graph().trip_permutation()
+            if side_or_color == "left":
+                legal = pi.inverse_value(site) > pi.inverse_value(site + 1)
+            else:
+                legal = pi(site) > pi(site + 1)
+            if not legal:
+                raise ValueError(f"{side_or_color} bridge at {site} is illegal for this permutation")
+        self._graph = None  # every step below edits the dicts
+        if kind == "contract":
+            return self.contract(site)
+        if kind == "expand":
+            return self.expand(site, first_edge, count)
+        if kind == "boundary-remove":
+            return self.remove_boundary_vertex(site)
+        if kind == "boundary-add":
+            return self.boundary_vertex(site)
+        if kind == "urban-renewal":
+            return self.urban_renewal(corners, face.edges)
+        if kind.endswith("-lollipop"):
+            return self.lollipop(site, side_or_color)
+        return self.bridge(site, side_or_color, t)
 
     def other_end(self, e: str, v):
         u, w = self.edges[e]
@@ -211,6 +282,8 @@ class _Draft:
         self.rotations[u1] = rot1[:i1] + rot2[i2 + 1 :] + rot2[:i2] + rot1[i1 + 1 :]
 
     def expand(self, vertex: str, first_edge: str, count: int) -> None:
+        if vertex not in self.colors:
+            raise ValueError(f"no internal vertex {vertex!r}")
         rot = self.rotations[vertex]
         if first_edge not in rot:
             raise ValueError(f"{first_edge!r} is not incident to {vertex!r}")
@@ -308,8 +381,6 @@ class _Draft:
         lollipop of the given color there; the note names its vertex and edge."""
         if not 1 <= i <= self.n + 1:
             raise ValueError(f"position {i} out of range")
-        if color not in ("white", "black"):
-            raise ValueError(f"bad color {color!r}")
         for j in range(self.n, i - 1, -1):
             pe = self.pendant.pop(j)
             self.edges[pe] = tuple(j + 1 if x == j else x for x in self.edges[pe])
@@ -388,79 +459,40 @@ class _Draft:
         return {"bridge_edge": e_bridge, "parameter": t}
 
 
-def _edit(graph: PlabicGraph, weights: Optional[dict], step, *args) -> MoveResult:
-    """Run one draft step on a copy of the graph and its weights (unit
-    weights when none are given), then validate the new graph once.  A
-    missing or zero weight raises ValueError naming its edge."""
-    if weights is None:
-        weights = dict.fromkeys(graph.edges, Q(1))
-    draft = _Draft(graph, check_weighting(graph, weights))
-    note = step(draft, *args)
-    return MoveResult(draft.build(), draft.weights, note)
-
-
-def add_lollipop(graph: PlabicGraph, i: int, color: str, weights: Optional[dict] = None):
-    """Insert a lollipop of the given color at boundary position i."""
-    return _edit(graph, weights, _Draft.lollipop, i, color)
-
-
-def add_bridge(
-    graph: PlabicGraph,
-    i: int,
-    side: str,
-    t: Fraction = Q(1),
-    weights: Optional[dict] = None,
-) -> MoveResult:
-    """Add a left or right bridge between boundary vertices i and i+1.
-
-    A left bridge hangs a white vertex over i+1 and a black one over i (the
-    trip permutation becomes s_i o pi); a right bridge is mirrored (pi o s_i).
-    Legality: left needs pi^{-1}(i) > pi^{-1}(i+1), right needs pi(i) > pi(i+1).
-    The bridge edge gets weight t and the new pendant stubs weight 1, so the
-    Plucker transform has parameter exactly t.
-    """
-    t = as_fraction(t)
-    if t == 0:
-        raise ValueError("bridge weight must be nonzero")
-    pi = graph.trip_permutation()
-    if side == "left":
-        if not pi.inverse_value(i) > pi.inverse_value(i + 1):
-            raise ValueError(f"left bridge at {i} is illegal for this permutation")
-    elif side == "right":
-        if not pi(i) > pi(i + 1):
-            raise ValueError(f"right bridge at {i} is illegal for this permutation")
-    else:
-        raise ValueError(f"bad side {side!r}")
-    return _edit(graph, weights, _Draft.bridge, i, side, t)
-
-
 def synthesis_steps(pi: BoundedAffinePermutation) -> list[Move]:
     """The lollipop/bridge script building a reduced graph for pi.
 
     Fixed points peel off as lollipops first; otherwise a left bridge goes in
     at the smallest i with pi^{-1}(i) < pi^{-1}(i+1), which is exactly where
     the bridge is legal once fixed points are gone.  The script is read off
-    from pi down to a single lollipop and returned in build order.  The tests
-    replay it with ``apply_move`` from the first lollipop, one validated graph
-    per step, as the oracle for ``synthesize(pi)``.
+    from pi down to a single lollipop and returned in build order; pi is
+    edited as a plain window list.  The tests replay it with ``apply_move``
+    from the first lollipop, one validated graph per step, as the oracle for
+    ``synthesize(pi)``.
     """
+    values = list(pi.values)
     reversed_steps = []
-    while pi.n > 1:
-        n = pi.n
-        fixed = next((i for i, v in enumerate(pi.values, 1) if v in (i, i + n)), None)
+    while len(values) > 1:
+        n = len(values)
+        fixed = next((i for i, v in enumerate(values, 1) if v in (i, i + n)), None)
         if fixed is not None:
-            color = "black" if pi(fixed) == fixed else "white"
+            color = "black" if values[fixed - 1] == fixed else "white"
             reversed_steps.append(Move(f"{color}-lollipop", fixed))
-            pi = _strip_position(pi, fixed)
+            values = _strip_position(values, fixed)
             continue
-        inv = pi.inverse_window()
-        inv += (inv[0] + n,)  # pi^{-1}(n+1)
+        inv = [0] * (n + 1)  # pi^{-1}(1), ..., pi^{-1}(n), then pi^{-1}(n+1)
+        for a, v in enumerate(values, 1):
+            b = (v - 1) % n + 1
+            inv[b - 1] = a + b - v
+        inv[n] = inv[0] + n
         i = next((i for i in range(1, n + 1) if inv[i - 1] < inv[i]), None)
         if i is None:
             raise ValueError("no legal lollipop or bridge step; invalid permutation?")
         reversed_steps.append(Move("left-bridge", i))
-        pi = BoundedAffinePermutation(_compose_s(pi, i, left=True))
-    color = "black" if pi.values[0] == 1 else "white"
+        # s_i o pi: the values of residues i and i+1 swap, at pi^{-1}(i) and pi^{-1}(i+1)
+        values[(inv[i - 1] - 1) % n] += 1
+        values[(inv[i] - 1) % n] -= 1
+    color = "black" if values[0] == 1 else "white"
     reversed_steps.append(Move(f"{color}-lollipop", 1))
     return reversed_steps[::-1]
 
@@ -480,52 +512,22 @@ def synthesize(pi: BoundedAffinePermutation) -> PlabicGraph:
             draft.bridge(move.site, side_or_color, Q(1))
         else:
             draft.lollipop(move.site, side_or_color)
-    graph = draft.build()
+    graph = draft.graph()
     got = graph.trip_permutation().values
     if got != pi.values:
         raise AssertionError(f"synthesized graph has trip permutation {got}, not {pi.values}")
     return graph
 
 
-def _strip_position(pi: BoundedAffinePermutation, i: int) -> BoundedAffinePermutation:
-    """The permutation on n-1 letters left after deleting the fixed point at i.
+def _strip_position(values: list, i: int) -> list:
+    """The window on n-1 letters left after deleting the fixed point at i.
 
     Uses the order embedding that matches the boundary relabeling of
     ``add_lollipop``: residues below i keep their name, the rest shift up.
     """
-    n = pi.n
-    m = n - 1
-
-    def up(t: int) -> int:
-        s, r = divmod(t - 1, m)
-        r += 1
-        return (r if r < i else r + 1) + s * n
-
-    def down(y: int) -> int:
-        s, r = divmod(y - 1, n)
-        r += 1
-        if r == i:
-            raise ValueError(f"{y} is in the deleted residue class")
-        return (r if r < i else r - 1) + s * m
-
-    return BoundedAffinePermutation(
-        tuple(down(pi(up(t))) for t in range(1, m + 1))
-    )
-
-
-def _compose_s(pi: BoundedAffinePermutation, i: int, left: bool) -> tuple[int, ...]:
-    """Window values of s_i o pi (left) or pi o s_i (right)."""
-    n = pi.n
-
-    def s(x: int) -> int:
-        r = (x - i) % n
-        if r == 0:
-            return x + 1
-        if r == 1:
-            return x - 1
-        return x
-
-    values = []
-    for a in range(1, n + 1):
-        values.append(s(pi(a)) if left else pi(s(a)))
-    return tuple(values)
+    n, m = len(values), len(values) - 1
+    out = []
+    for v in values[: i - 1] + values[i:]:
+        s, r = divmod(v - 1, n)
+        out.append((r + 1 if r + 1 < i else r) + s * m)
+    return out

@@ -372,6 +372,47 @@ def test_fixture_files_match_builders():
         assert on_disk == builder().to_json(), name
 
 
+# text with the characters JSON escapes: quotes, backslashes, controls, non-ASCII
+JSON_TEXT = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\U0001d11e"]))
+PLAIN_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**40), 10**40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(PLAIN_JSON)
+def test_json_text_matches_json_dumps(payload):
+    from positroids.fixtures import json_text
+
+    assert json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {"a": (1, [2.0])}, {"x": [{2: "y", 1: None}]}, {True: 1}, [float("nan"), -0.0]],
+    ids=["float", "tuple", "int-keys", "bool-key", "nan"],
+)
+def test_json_text_falls_back_to_json_dumps(payload):
+    from positroids.fixtures import json_text
+
+    assert json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+
+
+def test_regen_golden_rewrites_the_same_bytes(tmp_path):
+    # the fixture files and inspect goldens, byte for byte, from the one writer
+    from positroids import cli
+
+    with redirect_stdout(io.StringIO()):
+        cli.main(["regen-golden", "--directory", str(tmp_path)])
+    committed = {p.name: p for d in (FIXTURES, ROOT / "tests" / "golden") for p in d.glob("*.json")}
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(committed)
+    for name in written:
+        assert (tmp_path / name).read_bytes() == committed[name].read_bytes(), name
+
+
 def test_golden_inspect_outputs():
     # regenerating goldens is the regen-golden subcommand's job; CI compares
     golden_dir = ROOT / "tests" / "golden"

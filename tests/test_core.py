@@ -1,11 +1,13 @@
+import functools
 from itertools import combinations
 
 import pytest
 
-from conftest import all_bounded_affine
+from conftest import all_bounded_affine, plan_graphs
 from positroids.core import (
     BoundedAffinePermutation,
     GrassmannNecklace,
+    Positroid,
     gale_key,
     gale_leq,
     gale_min,
@@ -115,6 +117,34 @@ def test_positroid_from_necklace_schubert():
     assert len(pos.bases) == 19
 
 
+def gale_key_positroid(neck):
+    """The oracle for ``positroid_from_necklace``: every k-subset J whose
+    sorted Gale key from each a lies componentwise above I_a's."""
+    n, k = neck.n, neck.k
+    keys = [gale_key(neck.element(a), a, n) for a in range(1, n + 1)]
+    return frozenset(
+        J
+        for J, J_keys in subset_gale_keys(n, k).items()
+        if all(all(x <= y for x, y in zip(key, J_key)) for key, J_key in zip(keys, J_keys))
+    )
+
+
+@functools.cache
+def subset_gale_keys(n, k):
+    """Each k-subset of [n] -> its Gale keys from a = 1, ..., n."""
+    return {J: [gale_key(J, a, n) for a in range(1, n + 1)] for J in combinations(range(1, n + 1), k)}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_positroid_from_necklace_matches_gale_keys(n):
+    # the interval-count test against the sorted Gale keys, on every necklace
+    for pi in all_bounded_affine(n):
+        neck = necklace_from_perm(pi)
+        pos = positroid_from_necklace(neck)
+        assert pos.bases == gale_key_positroid(neck), pi.values
+        assert pos.forward_necklace() is neck
+
+
 def test_positroid_from_necklace_uniform():
     neck = GrassmannNecklace(((1, 2), (2, 3), (3, 4), (1, 4)), 4)
     assert len(positroid_from_necklace(neck).bases) == 6
@@ -157,6 +187,16 @@ def test_reverse_necklace_matches_inverse_permutation():
             assert lift == pi.inverse_value(a)
         else:
             assert pi.inverse_value(a) == a
+
+
+def test_reverse_necklace_from_perm_matches_bases():
+    # Positroid.reverse_necklace reads the necklace off pi; the oracle takes
+    # the Gale maximum of the bases from each position
+    for g in plan_graphs():
+        pos = positroid_from_necklace(necklace_from_perm(g.trip_permutation()))
+        rev = pos.reverse_necklace()
+        assert rev == necklace_from_bases(pos.bases, g.n, "reverse"), g.n
+        assert Positroid(pos.bases, pos.n, pos.k).reverse_necklace() == rev
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -312,7 +312,20 @@ def test_gauge_fix(square4):
     targets = {"leg1": Q(1), "leg2": Q(1), "leg3": Q(1), "leg4": Q(1)}
     fixed = gauge_fix(square4, z, targets)
     assert all(fixed[e] == 1 for e in targets)
-    assert measure(square4, fixed).coords.keys() == measure(square4, z).coords.keys()
+    # a gauge transform scales every Plucker coordinate by one factor
+    before, after = measure(square4, z).coords, measure(square4, fixed).coords
+    scale = after[(1, 2)] / before[(1, 2)]
+    assert scale != 1
+    assert after == {I: scale * v for I, v in before.items()}
+
+
+def test_gauge_fix_errors(square4):
+    z = random_weighting(square4, random.Random(26))
+    with pytest.raises(ValueError, match=r"^gauge not determined at vertices \['v1', 'v2', 'v3', 'v4'\]$"):
+        gauge_fix(square4, z, {})
+    # the legs pin the gauge to 1 at every vertex, which s23's weight 2 then contradicts
+    with pytest.raises(ValueError, match="^gauge constraints clash at edge 's23'$"):
+        gauge_fix(square4, {**dict.fromkeys(square4.edges, 1), "s23": 2}, dict.fromkeys(square4.edges, 1))
 
 
 def enumerative_measure(graph, weights):

@@ -21,6 +21,7 @@ from positroids.moves import (
     contract,
     expand,
     remove_boundary_vertex,
+    run_script,
     synthesis_steps,
     synthesize,
     urban_renewal,
@@ -188,6 +189,99 @@ def test_move_scripts_preserve_measure(data):
         assert measure(graph, z) == p, move
 
 
+def step_by_step(graph, weights, moves):
+    """The oracle for ``run_script``: one ``apply_move`` per step, each on a
+    fresh draft of a validated graph, its weighting checked again."""
+    notes = []
+    for move in moves:
+        res = apply_move(graph, weights, move)
+        graph, weights = res.graph, res.weights
+        notes.append(res.note)
+    return graph, weights, notes
+
+
+MOVE_KINDS = (
+    "contract", "expand", "boundary-remove", "urban-renewal", "boundary-add",
+    "black-lollipop", "white-lollipop", "left-bridge", "right-bridge",
+)
+
+
+def any_move(data, graph):
+    """A move of any kind at a site of the graph, or just outside it, that
+    may or may not apply."""
+    kind = data.draw(st.sampled_from(MOVE_KINDS))
+    params = None
+    if kind == "urban-renewal":
+        site = data.draw(st.sampled_from([f.id for f in graph.faces()] + ["f99"]))
+    elif kind in MOVE_KINDS[:3]:
+        site = data.draw(st.sampled_from(sorted(graph.colors) + ["nope"]))
+    else:
+        site = data.draw(st.integers(0, graph.n + 2))
+    if kind == "expand":
+        params = {"first_edge": data.draw(st.sampled_from(sorted(graph.edges))), "count": data.draw(st.integers(0, 4))}
+    elif kind.endswith("bridge"):
+        params = {"t": data.draw(st.sampled_from([1, 3, "2/5", 0]))}
+    return Move(kind, site, params)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_script_runner_matches_step_by_step(data):
+    # scripts of legal moves and of moves at any site, on a fixture or a
+    # random cell with n <= 6: one draft gives the graph, ids included, the
+    # weights and the notes of one validated graph per step, or the same error
+    name = data.draw(st.sampled_from([*SCRIPT_FIXTURES, "random cell"]))
+    if name == "random cell":
+        rng = data.draw(st.randoms(use_true_random=False))
+        graph = synthesize(random_bounded_affine(rng.randint(1, 6), rng))
+    else:
+        graph = fixtures.load(name)
+    z = random_weighting(graph, data.draw(st.randoms(use_true_random=False)))
+    script, want, error = [], (graph, z, []), None
+    for _ in range(data.draw(st.integers(1, 6))):
+        moves = legal_moves(want[0])
+        if moves and data.draw(st.integers(0, 3)):
+            script.append(data.draw(st.sampled_from(moves)))
+        else:
+            script.append(any_move(data, want[0]))
+        try:
+            g, w, notes = step_by_step(*want[:2], script[-1:])
+        except Exception as exc:
+            error = exc
+            break
+        want = (g, w, want[2] + notes)
+    if error is not None:
+        with pytest.raises(Exception) as got:
+            run_script(graph, z, script)
+        assert (type(got.value), str(got.value)) == (type(error), str(error)), script
+        return
+    g, w, notes = run_script(graph, z, script)
+    assert g.to_json() == want[0].to_json(), script
+    assert (w, notes) == want[1:], script
+
+
+def test_script_builds_one_graph(monkeypatch, schubert36):
+    # after loading, a script that reads no graph on the way builds one graph
+    z = random_weighting(schubert36, random.Random(18))
+    script = [
+        Move("expand", "b", {"first_edge": "d", "count": 2}),
+        Move("contract", "md0"),
+        Move("boundary-add", 2),
+        Move("boundary-remove", "bd0"),
+    ]
+    want = step_by_step(schubert36, z, script)
+    built, init = [], PlabicGraph.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(PlabicGraph, "__init__", counting_init)
+    g, w, notes = run_script(schubert36, z, script)
+    assert built == [6]
+    assert (g.to_json(), w, notes) == (want[0].to_json(), *want[1:])
+
+
 def test_moves_keep_diagram_valid(square4, schubert36):
     # the main-theorem checks survive each kind of move
     rng = random.Random(35)
@@ -211,6 +305,11 @@ def test_apply_move_dispatch(square4):
     assert res.note["factor"] == 2
     with pytest.raises(ValueError):
         apply_move(square4, z, Move("mystery", "f1"))
+    # a site that is not there is named, not a bare KeyError
+    with pytest.raises(ValueError, match="^no face 'f9'$"):
+        apply_move(square4, z, Move("urban-renewal", "f9"))
+    with pytest.raises(ValueError, match="^no internal vertex 'x'$"):
+        apply_move(square4, z, Move("expand", "x", {"first_edge": "leg1", "count": 1}))
 
 
 @pytest.mark.parametrize("leg1", [None, Q(0)], ids=["missing", "zero"])
@@ -381,6 +480,44 @@ def replay(pi):
 
 def top_cell(k, n):
     return BoundedAffinePermutation(tuple(a + k for a in range(1, n + 1)))
+
+
+def bap_synthesis_steps(pi):
+    """The oracle for ``synthesis_steps``: the same peeling rule, with each
+    step composing maps and validating a new ``BoundedAffinePermutation``."""
+    steps = []
+    while pi.n > 1:
+        n = pi.n
+        fixed = next((i for i, v in enumerate(pi.values, 1) if v in (i, i + n)), None)
+        if fixed is not None:
+            steps.append(Move(f"{'black' if pi(fixed) == fixed else 'white'}-lollipop", fixed))
+
+            def down(y):  # drop residue `fixed`; the others keep their order
+                s, r = divmod(y - 1, n)
+                return (r + 1 if r + 1 < fixed else r) + s * (n - 1)
+
+            pi = BoundedAffinePermutation(tuple(down(pi(t if t < fixed else t + 1)) for t in range(1, n)))
+            continue
+        inv = pi.inverse_window() + (pi.inverse_window()[0] + n,)
+        i = next(i for i in range(1, n + 1) if inv[i - 1] < inv[i])
+        steps.append(Move("left-bridge", i))
+
+        def s_i(x):
+            return x + 1 if (x - i) % n == 0 else x - 1 if (x - i) % n == 1 else x
+
+        pi = BoundedAffinePermutation(tuple(s_i(pi(a)) for a in range(1, n + 1)))
+    steps.append(Move(f"{'black' if pi.values[0] == 1 else 'white'}-lollipop", 1))
+    return steps[::-1]
+
+
+def test_synthesis_steps_match_the_permutation_oracle():
+    # the window-list script against composed bounded affine permutations
+    rng = random.Random(41)
+    pis = [pi for n in range(1, 7) for pi in all_bounded_affine(n)]
+    pis += [random_bounded_affine(rng.randint(7, 12), rng) for _ in range(200)]
+    pis += [top_cell(k, n) for k, n in ((3, 7), (4, 9), (5, 11), (6, 12), (7, 14))]
+    for pi in pis:
+        assert synthesis_steps(pi) == bap_synthesis_steps(pi), pi.values
 
 
 def test_synthesis_trace_replays():
