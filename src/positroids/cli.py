@@ -87,18 +87,23 @@ def to_dot(g: PlabicGraph) -> str:
         lines.append(f'  b{i} [shape=plaintext, label="{i}"];')
     for v, c in sorted(g.colors.items()):
         fill = "white" if c == "white" else "black"
-        lines.append(f'  "{v}" [shape=circle, style=filled, fillcolor={fill}, label=""];')
+        lines.append(f'  {_dot_string(v)} [shape=circle, style=filled, fillcolor={fill}, label=""];')
     for e, (u, w) in sorted(g.edges.items()):
-        uu = f"b{u}" if g.is_boundary(u) else f'"{u}"'
-        ww = f"b{w}" if g.is_boundary(w) else f'"{w}"'
-        lines.append(f'  {uu} -- {ww} [label="{e}"];')
+        uu = f"b{u}" if g.is_boundary(u) else _dot_string(u)
+        ww = f"b{w}" if g.is_boundary(w) else _dot_string(w)
+        lines.append(f'  {uu} -- {ww} [label={_dot_string(e)}];')
     lines.append("}")
     return "\n".join(lines)
 
 
+def _dot_string(text: str) -> str:
+    """A quoted DOT string; ids may hold any character."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_matchings(args) -> None:
     g = load_graph(args.graph)
-    boundary = parse_subset(g, args.boundary) if args.boundary else None
+    boundary = None if args.boundary is None else parse_subset(g, args.boundary)
     ms = enumerate_matchings(g, boundary)
     emit(
         {
@@ -223,8 +228,6 @@ def cmd_regen_golden(args) -> None:
     golden_dir = (Path(args.directory) if args.directory else fixtures.FIXTURE_DIR.parent / "tests" / "golden")
     golden_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(fixtures.BUILDERS):
-        if name == "tri6":
-            continue  # its positroid enumeration is deliberately not cheap
         payload = inspect_payload(fixtures.load(name))
         path = golden_dir / f"inspect_{name}.json"
         path.write_text(fixtures.json_text(payload) + "\n")

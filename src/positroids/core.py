@@ -9,6 +9,7 @@ pi(a) = a is a "black" fixed point and pi(a) = a + n a "white" one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 
@@ -258,8 +259,9 @@ def positroid_from_necklace(neck: GrassmannNecklace) -> Positroid:
     I_a <=_a J holds exactly when every initial interval [a, a+t) of the
     order from a holds at least as many members of I_a as of J.  Only the
     intervals that end just before a member of I_a can bind, and of those
-    only the ones holding fewer than t members; each J, a bitmask, is
-    tested against them by one popcount each.
+    only the ones holding fewer than t members.  The k-subsets are walked in
+    lexicographic order; each is read as a bitmask and tested against the
+    binding intervals by one popcount each.
     """
     if neck.direction != "forward":
         raise ValueError("positroid_from_necklace expects a forward necklace")
@@ -272,14 +274,13 @@ def positroid_from_necklace(neck: GrassmannNecklace) -> Positroid:
             if r > j:
                 mask = ((1 << r) - 1) << a
                 cuts.add(((mask | mask >> n) & full, j))
+    bit = {x: 1 << (x - 1) for x in range(1, n + 1)}.__getitem__
     bases = []
-    for J in range(1 << n):  # bit x - 1 stands for member x
-        if J.bit_count() != k:
-            continue
+    for J in combinations(range(1, n + 1), k):
+        members = sum(map(bit, J))
         for mask, most in cuts:
-            if (J & mask).bit_count() > most:
+            if (members & mask).bit_count() > most:
                 break
         else:
-            bases.append(tuple(x + 1 for x in range(n) if J >> x & 1))
+            bases.append(J)
     return Positroid(frozenset(bases), n, k, neck)
-

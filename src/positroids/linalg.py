@@ -16,11 +16,9 @@ kernel the cyclic interval a, a+1, ... (or a, a-1, ...) until it holds a
 basis.  ``matrix_necklace`` makes one scan from each column; each twist
 column is solved from its own necklace scan as an integer column over one
 denominator, and ``double_twist_mu`` reads each necklace minor from one.
-``pluecker`` and ``support`` alone take all maximal minors at once, by one
-integer Laplace expansion along the rows that shares each smaller minor
-between every column set containing it; ``pluecker`` divides each by its
-columns' scales, and ``support`` keeps the column sets whose integer minor
-is nonzero without building a Fraction.
+``pluecker`` alone takes all maximal minors at once, by one integer Laplace
+expansion along the rows that shares each smaller minor between every column
+set containing it, and divides each by its columns' scales.
 """
 from __future__ import annotations
 
@@ -375,9 +373,9 @@ class PlueckerVector:
         ]
 
 
-def _maximal_minors(matrix: RationalMatrix) -> tuple[dict, tuple]:
-    """The integer maximal minors of the stored columns, keyed by 0-based
-    column sets in lexicographic order, and the scales.
+def pluecker(matrix: RationalMatrix) -> PlueckerVector:
+    """All binom(n, k) maximal minors: the integer minors of the stored
+    columns, each divided by the product of its columns' scales.
 
     One Laplace expansion along the rows: the minor of the first r+1 rows on
     columns S expands along row r+1 into the minors of the first r rows on S
@@ -398,27 +396,10 @@ def _maximal_minors(matrix: RationalMatrix) -> tuple[dict, tuple]:
                 sign = -sign
             expanded[S] = total
         minors = expanded
-    return minors, scales
-
-
-def pluecker(matrix: RationalMatrix) -> PlueckerVector:
-    """All binom(n, k) maximal minors: the integer minors of the stored
-    columns, each divided by the product of its columns' scales."""
-    minors, scales = _maximal_minors(matrix)
     coords = {
         tuple(j + 1 for j in S): Q(v, prod(scales[j] for j in S)) for S, v in minors.items()
     }
     return PlueckerVector(matrix.n, matrix.k, coords)
-
-
-def support(matrix: RationalMatrix) -> list[tuple[int, ...]]:
-    """The sorted k-subsets of [n] whose maximal minor is nonzero, as
-    ``pluecker(matrix).support()`` lists them, with no Fraction built.
-
-    The column scales are positive, so the integer minors vanish exactly
-    where the rational ones do.
-    """
-    return [tuple(j + 1 for j in S) for S, v in _maximal_minors(matrix)[0].items() if v]
 
 
 def _forward_scans(columns: Sequence[Sequence[int]]):

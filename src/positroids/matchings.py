@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import Positroid, necklace_from_bases, positroid_from_necklace
+from .core import Positroid, necklace_from_bases, necklace_from_perm, positroid_from_necklace
 from .errors import PreconditionError
 from .linalg import RationalMatrix, matmul
 from .plabic import PlabicGraph
@@ -95,8 +95,14 @@ def _search(graph: PlabicGraph, boundary: Optional[Sequence[int]]) -> list[froze
 
 
 def graph_positroid(graph: PlabicGraph) -> Positroid:
-    """Distinct matching boundaries, cross-checked against Oh's construction
-    from their forward necklace, which the result keeps."""
+    """The distinct matching boundaries.  On a reduced graph they are Oh's
+    construction on the trip permutation's forward necklace (Postnikov,
+    math/0609764; Oh, 0803.1018), memoized on the graph, and no matching is
+    listed.  On any other graph every matching is, and their boundaries are
+    cross-checked against Oh's construction from their forward necklace,
+    which the result keeps."""
+    if graph.is_reduced()[0]:
+        return graph._memo("positroid", lambda: positroid_from_necklace(necklace_from_perm(graph.trip_permutation())))
     boundaries = {matching_boundary(graph, m) for m in enumerate_matchings(graph)}
     if not boundaries:
         raise PreconditionError("graph admits no matching")

@@ -33,12 +33,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import gale_min
 from .errors import PreconditionError
-from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, support, twist
+from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, twist
 from .matchings import (
     boundary_matrix,
     enumerate_matchings,
     extremal_matching,
     face_exponents,
+    graph_positroid,
     matching_boundary,
 )
 from .plabic import PlabicGraph
@@ -454,7 +455,9 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     twists.  The weights of the inverse monomial map at its source-label
     face values multiply over each matching to that matching's Laurent
     term, so the term sum at J is their measurement at J, from path sums.
-    No matching is listed: the term list of ``twisted_pluecker_laurent``
+    Each J is drawn from the graph's positroid: at positive weights its
+    twisted coordinate cannot vanish, so a zero is a broken invariant.  No
+    matching is listed: the term list of ``twisted_pluecker_laurent``
     serves the ``laurent`` subcommand and the tests.  Every step that
     depends on the graph alone is built on the first trial and memoized.
     """
@@ -463,6 +466,7 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     graph.require_reduced()
     if graph.k == 0:
         raise PreconditionError("k = 0: the point has no matrix to twist")
+    bases = sorted(graph_positroid(graph).bases)
     rng = random.Random(seed)
     report = []
     for trial in range(trials):
@@ -488,13 +492,13 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
         failure = None if again == network else _entry_failure(A, _scaled(again))
         report.append(_outcome("inversion", trial, z, failure))
 
-        # the weights are positive, so the support is the set of matching boundaries
-        boundaries = support(A)
         laurent, _ = boundary_partial(graph, face_pluecker(graph, A, "source"), "min")
         B, t = boundary_measurement_matrix(graph, laurent)
-        picks = [boundaries[rng.randrange(len(boundaries))] for _ in range(3)]
+        picks = [bases[rng.randrange(len(bases))] for _ in range(3)]
         for J in picks:
             want, got = minor(left, J), t * minor(B, J)
+            if want == 0:  # 0 = 0 would check nothing
+                raise AssertionError(f"twisted Plucker coordinate at {J} vanishes at positive weights")
             failure = None if want == got else {"expected": str(want), "actual": str(got)}
             report.append(_outcome(f"laurent-{''.join(map(str, J))}", trial, z, failure))
     return report

@@ -55,6 +55,26 @@ def test_inspect_dot():
     assert out["dot"].startswith("graph plabic {")
 
 
+def test_inspect_dot_escapes_quotes_and_backslashes(tmp_path):
+    # square4 with the vertex v1 renamed v"1 and the edge s12 renamed s\12
+    text = (FIXTURES / "square4.json").read_text()
+    path = tmp_path / "quoted.json"
+    path.write_text(text.replace('"v1"', '"v\\"1"').replace('"s12"', '"s\\\\12"'))
+    lines = json.loads(run_cli("inspect", str(path), "--dot"))["dot"].splitlines()
+    assert '  "v\\"1" [shape=circle, style=filled, fillcolor=white, label=""];' in lines
+    assert '  "v\\"1" -- "v2" [label="s\\\\12"];' in lines
+
+
+def test_inspect_of_a_reduced_graph_lists_no_matching(monkeypatch, capsys):
+    from positroids import cli, matchings
+
+    listed = []
+    monkeypatch.setattr(matchings, "enumerate_matchings", lambda *args: listed.append(args))
+    cli.main(["inspect", "tri6"])
+    assert json.loads(capsys.readouterr().out)["positroid_size"] == 9842
+    assert listed == []
+
+
 def test_matchings_filter():
     out = json.loads(
         run_cli("matchings", str(FIXTURES / "square4.json"), "--boundary", "2,4")
@@ -274,6 +294,8 @@ MALFORMED = {
     "boundary-below-range": (("matchings", "--boundary", "0,2"), (FIXTURES / "square4.json").read_text()),
     "boundary-repeated": (("matchings", "--boundary", "1,1"), (FIXTURES / "square4.json").read_text()),
     "boundary-wrong-size": (("matchings", "--boundary", "1,2,3"), (FIXTURES / "square4.json").read_text()),
+    "boundary-empty": (("matchings", "--boundary", ""), (FIXTURES / "square4.json").read_text()),
+    "J-empty": (("laurent", "--J", ""), (FIXTURES / "square4.json").read_text()),
     # usage errors that argparse reports
     "bad-label-mode": (("labels", "--mode", "foo"), (FIXTURES / "square4.json").read_text()),
     "non-integer-trials": (("verify", "--trials", "x"), (FIXTURES / "square4.json").read_text()),

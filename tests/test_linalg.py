@@ -26,7 +26,6 @@ from positroids.linalg import (
     pluecker,
     rank,
     signed_minor,
-    support,
     twist,
 )
 from positroids.measurement import matrix_from_pluecker, measure, random_weighting
@@ -966,7 +965,7 @@ def test_stored_columns_match_the_fraction_row_reference():
                 subsets = [sorted(rng.sample(range(1, n + 1), k)) for _ in range(5)]
                 assert minors(m, subsets) == reference_minors(rows, subsets)
                 assert pluecker(m).coords == reference_pluecker(rows)
-                assert support(m) == sorted(I for I, v in reference_pluecker(rows).items() if v)
+                assert pluecker(m).support() == sorted(I for I, v in reference_pluecker(rows).items() if v)
                 necklace = outcome(reference_necklace, rows)
                 assert outcome(matrix_necklace, m) == necklace
                 # matrices compare by their columns and scales, so equal

@@ -1,12 +1,13 @@
+import random
 from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
-from conftest import all_bounded_affine, plan_graphs
+from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
 
 from positroids import fixtures
-from positroids.core import BoundedAffinePermutation
+from positroids.core import BoundedAffinePermutation, necklace_from_bases
 from positroids.errors import PreconditionError
 from positroids.matchings import (
     boundary_matrix,
@@ -67,6 +68,22 @@ def test_graph_positroid_d4(d4):
     pos = graph_positroid(d4)
     missing = set(combinations(range(1, 9), 4)) - pos.bases
     assert missing == {(1, 2, 3, 4), (3, 4, 5, 6), (5, 6, 7, 8), (1, 2, 7, 8)}
+
+
+def test_graph_positroid_is_the_set_of_matching_boundaries(square4):
+    # the enumerative oracle: on a reduced graph graph_positroid lists no
+    # matching, so its bases and forward necklace are checked against every
+    # matching's boundary here, on every fixture, every cell with n <= 5,
+    # seeded cells with n = 6 and 7, and two graphs that are not reduced
+    rng = random.Random(61)
+    graphs = [*map(fixtures.load, sorted(fixtures.BUILDERS)), *(square4_doubled(square4, both) for both in (False, True))]
+    graphs += [synthesize(pi) for n in range(1, 6) for pi in all_bounded_affine(n)]
+    graphs += [synthesize(random_bounded_affine(n, rng)) for n in (6, 7) for _ in range(40)]
+    for g in graphs:
+        boundaries = {matching_boundary(g, m) for m in enumerate_matchings(g)}
+        pos = graph_positroid(g)
+        assert pos.bases == boundaries
+        assert pos.forward_necklace() == necklace_from_bases(boundaries, g.n, "forward")
 
 
 def test_incidence_square4(square4):

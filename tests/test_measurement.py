@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
 from positroids import chamber, cli, fixtures, linalg, matchings, measurement
-from positroids.core import gale_min, length
+from positroids.core import Positroid, gale_min, length
 from positroids.errors import PreconditionError
-from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, support, twist
-from positroids.matchings import enumerate_matchings, extremal_matching, matching_boundary
+from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
+from positroids.matchings import enumerate_matchings, extremal_matching, graph_positroid, matching_boundary
 from positroids.measurement import (
     boundary_measurement_matrix,
     boundary_partial,
@@ -487,16 +487,27 @@ def test_verify_diagram_never_lists_every_matching(monkeypatch):
         "twisted_pluecker_laurent",
         "matrix_from_pluecker",
         "pluecker",
-        "support",
+        "positroid_from_necklace",
     )
     report = verify_diagram(fixtures.load("d4"), seed=7, trials=2)
     assert all(r["status"] == "pass" for r in report)
     assert calls["enumerate_matchings"] == []
     assert calls["twisted_pluecker_laurent"] == []
     assert calls["matrix_from_pluecker"] == []
-    # one support list per trial, with no Plucker vector of Fractions
+    # the picks come from one positroid, built from the trip permutation, and
+    # no Plucker vector is taken
     assert calls["pluecker"] == []
-    assert len(calls["support"]) == 2
+    assert len(calls["positroid_from_necklace"]) == 1
+
+
+def test_verify_refuses_a_pick_whose_twisted_coordinate_vanishes(monkeypatch, capsys):
+    # 123 is no basis of schubert36: its check would read 0 = 0
+    only_123 = Positroid(frozenset({(1, 2, 3)}), 6, 3)
+    monkeypatch.setattr(measurement, "graph_positroid", lambda graph: only_123)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "schubert36", "--trials", "1"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == "internal error: twisted Plucker coordinate at (1, 2, 3) vanishes at positive weights\n"
 
 
 def test_factorization_takes_no_pluecker_vector(monkeypatch):
@@ -657,18 +668,18 @@ def test_monomial_and_inverse_maps_match_their_fraction_formulas():
             assert boundary_partial(g, x, direction) == oracle_boundary_partial(g, x, direction)
 
 
-def test_support_is_the_support_of_the_pluecker_vector():
+def test_positroid_is_the_support_of_the_pluecker_vector():
+    # positive weights cannot cancel: the point's nonzero maximal minors are
+    # the graph's positroid, which verify draws its Laurent picks from
     rng = random.Random(47)
     vanishing = 0
     for g in plan_graphs():
         if g.k:
-            z = random_weighting(g, rng)
-            for w in (z, signed(z, rng)):
-                A = scaled_network_matrix(g, w)
-                assert support(A) == pluecker(A).support()
-            # at positive weights a minor vanishes exactly below the top cell
+            support = pluecker(scaled_network_matrix(g, random_weighting(g, rng))).support()
+            assert support == sorted(graph_positroid(g).bases)
+            # a minor vanishes exactly below the top cell
             below_top = length(g.trip_permutation()) > 0
-            assert (len(support(scaled_network_matrix(g, z))) < comb(g.n, g.k)) == below_top
+            assert (len(support) < comb(g.n, g.k)) == below_top
             vanishing += below_top
     assert vanishing == 398
 
