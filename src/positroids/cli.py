@@ -224,10 +224,12 @@ def inspect_payload(graph: PlabicGraph) -> dict:
 
 
 def cmd_regen_golden(args) -> None:
-    paths = fixtures.write_fixture_files(args.directory)
-    golden_dir = (Path(args.directory) if args.directory else fixtures.FIXTURE_DIR.parent / "tests" / "golden")
+    """Rewrite the ``inspect`` golden of each fixture; by default into the
+    checkout's ``tests/golden``, found from the package's location."""
+    golden_dir = Path(args.directory or Path(__file__).resolve().parents[2] / "tests" / "golden")
     golden_dir.mkdir(parents=True, exist_ok=True)
-    for name in sorted(fixtures.BUILDERS):
+    paths = []
+    for name in sorted(fixtures.NAMES):
         payload = inspect_payload(fixtures.load(name))
         path = golden_dir / f"inspect_{name}.json"
         path.write_text(fixtures.json_text(payload) + "\n")
@@ -299,7 +301,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--J", dest="subset", required=True)
 
-    p = sub.add_parser("regen-golden", help="rewrite the fixture JSON files")
+    p = sub.add_parser("regen-golden", help="rewrite the inspect goldens of the fixtures")
     p.add_argument("--directory", default=None)
 
     return parser

@@ -19,7 +19,7 @@ from .core import BoundedAffinePermutation
 from .linalg import Q, as_fraction
 from .errors import json_shape
 from .measurement import check_weighting
-from .plabic import PlabicGraph
+from .plabic import GraphError, PlabicGraph
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,14 @@ class _Draft:
         return f"{prefix}{i}"
 
     def graph(self) -> PlabicGraph:
+        """The graph of the dicts.  Every step checks that its move is legal
+        before it edits them, so an invalid graph here is a broken invariant,
+        not a failed precondition."""
         if self._graph is None:
-            self._graph = PlabicGraph(self.n, self.colors, self.edges, self.rotations)
+            try:
+                self._graph = PlabicGraph(self.n, self.colors, self.edges, self.rotations)
+            except GraphError as exc:
+                raise AssertionError(f"move script built an invalid graph: {exc}") from exc
         return self._graph
 
     def step(self, move: Move) -> Optional[dict]:

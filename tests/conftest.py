@@ -33,7 +33,7 @@ def random_bounded_affine(n, rng):
 
 def plan_graphs():
     """Every fixture, every cell with n <= 5 and the top cells Gr(3,6)...Gr(7,14)."""
-    yield from map(fixtures.load, sorted(fixtures.BUILDERS))
+    yield from map(fixtures.load, sorted(fixtures.NAMES))
     for n in range(1, 6):
         yield from map(synthesize, all_bounded_affine(n))
     for k in range(3, 8):

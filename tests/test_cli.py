@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parents[1]
-FIXTURES = ROOT / "fixtures"
+FIXTURES = ROOT / "src" / "positroids" / "data"
 
 
 def run_cli(*args, expect=0):
@@ -186,6 +186,34 @@ def test_move_refuses_boundary_add_at_a_lollipop(tmp_path):
     spath.write_text(json.dumps([{"kind": "boundary-add", "site": 1}]))
     result = run_cli_result("move", str(gpath), str(wpath), "--spec", str(spath), expect=1)
     assert result.stderr == "error: boundary vertex 1 ends at lollipop 'lp0'\n", result.stderr
+
+
+def test_move_that_builds_an_invalid_graph_exits_3(tmp_path, monkeypatch, capsys):
+    # a legal script whose result fails validation is a broken invariant (exit
+    # 3), not a failed precondition (exit 2): here boundary-add drops a
+    # rotation entry of the vertex it makes
+    from positroids import cli
+    from positroids.moves import _Draft
+
+    step = _Draft.boundary_vertex
+
+    def dropping_step(self, i):
+        step(self, i)
+        self.rotations["bd0"].pop()
+
+    monkeypatch.setattr(_Draft, "boundary_vertex", dropping_step)
+    wpath, spath = tmp_path / "w.json", tmp_path / "moves.json"
+    wpath.write_text(square4_weights())
+    spath.write_text(json.dumps([{"kind": "boundary-add", "site": 2}]))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["move", "square4", str(wpath), "--spec", str(spath)])
+    assert exc.value.code == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "internal error: move script built an invalid graph: "
+        "rotation at 'bd0' is not a cyclic order of its incident edges\n"
+    )
 
 
 def test_laurent():
@@ -386,14 +414,6 @@ def test_precondition_exit_code(tmp_path):
     run_cli("twist", str(mpath), "--right", expect=2)
 
 
-def test_fixture_files_match_builders():
-    from positroids import fixtures
-
-    for name, builder in fixtures.BUILDERS.items():
-        on_disk = json.loads((FIXTURES / f"{name}.json").read_text())
-        assert on_disk == builder().to_json(), name
-
-
 # text with the characters JSON escapes: quotes, backslashes, controls, non-ASCII
 JSON_TEXT = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\U0001d11e"]))
 PLAIN_JSON = st.recursive(
@@ -423,14 +443,14 @@ def test_json_text_falls_back_to_json_dumps(payload):
 
 
 def test_regen_golden_rewrites_the_same_bytes(tmp_path):
-    # the fixture files and inspect goldens, byte for byte, from the one writer
-    from positroids import cli
+    # the inspect goldens of the six fixtures, byte for byte, from the one writer
+    from positroids import cli, fixtures
 
     with redirect_stdout(io.StringIO()):
         cli.main(["regen-golden", "--directory", str(tmp_path)])
-    committed = {p.name: p for d in (FIXTURES, ROOT / "tests" / "golden") for p in d.glob("*.json")}
+    committed = {p.name: p for p in (ROOT / "tests" / "golden").glob("inspect_*.json")}
     written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(committed)
+    assert written == sorted(committed) == sorted(f"inspect_{name}.json" for name in fixtures.NAMES)
     for name in written:
         assert (tmp_path / name).read_bytes() == committed[name].read_bytes(), name
 

@@ -553,7 +553,7 @@ def test_rank_deficient_matrices_raise():
                 matrix_necklace(m)
 
 
-@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+@pytest.mark.parametrize("name", sorted(set(fixtures.NAMES) - {"tri6"}))
 def test_kernel_matches_oracles_on_measured_fixtures(name):
     g = fixtures.load(name)
     a = matrix_from_pluecker(measure(g, random_weighting(g, random.Random(23))))
@@ -659,7 +659,7 @@ def test_twists_match_oracles_on_random_matrices():
     assert checked > 100
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
+@pytest.mark.parametrize("name", sorted(fixtures.NAMES))
 def test_twists_match_oracles_on_measured_fixtures(name):
     g = fixtures.load(name)
     assert_twists_match_oracles(matrix_from_pluecker(measure(g, random_weighting(g, random.Random(31)))))

@@ -76,7 +76,7 @@ def test_graph_positroid_is_the_set_of_matching_boundaries(square4):
     # matching's boundary here, on every fixture, every cell with n <= 5,
     # seeded cells with n = 6 and 7, and two graphs that are not reduced
     rng = random.Random(61)
-    graphs = [*map(fixtures.load, sorted(fixtures.BUILDERS)), *(square4_doubled(square4, both) for both in (False, True))]
+    graphs = [*map(fixtures.load, sorted(fixtures.NAMES)), *(square4_doubled(square4, both) for both in (False, True))]
     graphs += [synthesize(pi) for n in range(1, 6) for pi in all_bounded_affine(n)]
     graphs += [synthesize(random_bounded_affine(n, rng)) for n in (6, 7) for _ in range(40)]
     for g in graphs:
@@ -182,7 +182,7 @@ def dense_face_exponents(data, matching):
     }
 
 
-@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+@pytest.mark.parametrize("name", sorted(set(fixtures.NAMES) - {"tri6"}))
 def test_face_exponents_match_dense_rows(name):
     g = fixtures.load(name)
     data = incidence_data(g)
@@ -298,7 +298,7 @@ def assert_boundary_search_matches_filter(g):
         assert enumerate_matchings(g, J) == ms
 
 
-@pytest.mark.parametrize("name", sorted(set(fixtures.BUILDERS) - {"tri6"}))
+@pytest.mark.parametrize("name", sorted(set(fixtures.NAMES) - {"tri6"}))
 def test_boundary_search_matches_filter_on_fixtures(name):
     assert_boundary_search_matches_filter(fixtures.load(name))
 

@@ -26,6 +26,7 @@ from positroids.moves import (
     synthesize,
     urban_renewal,
 )
+from positroids.moves import _Draft
 from positroids.plabic import PlabicGraph
 
 
@@ -105,7 +106,7 @@ def test_urban_renewal_preserves_measure(schubert36, d4):
 
 def exchange_graphs():
     """The fixtures and the top cells Gr(3,6), Gr(4,8), Gr(4,9) and Gr(5,10)."""
-    yield from map(fixtures.load, sorted(fixtures.BUILDERS))
+    yield from map(fixtures.load, sorted(fixtures.NAMES))
     for k, n in ((3, 6), (4, 8), (4, 9), (5, 10)):
         yield synthesize(BoundedAffinePermutation(tuple(range(k + 1, k + n + 1))))
 
@@ -162,7 +163,7 @@ def legal_moves(graph):
 
 
 # tri6's measurement has binom(18, 6) coordinates; its move scripts are a CI guard
-SCRIPT_FIXTURES = sorted(set(fixtures.BUILDERS) - {"tri6"})
+SCRIPT_FIXTURES = sorted(set(fixtures.NAMES) - {"tri6"})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -280,6 +281,38 @@ def test_script_builds_one_graph(monkeypatch, schubert36):
     g, w, notes = run_script(schubert36, z, script)
     assert built == [6]
     assert (g.to_json(), w, notes) == (want[0].to_json(), *want[1:])
+
+
+def test_illegal_moves_build_no_graph(monkeypatch, square4):
+    # legality is checked on the draft's dicts: an illegal move raises before
+    # any graph is built from them
+    lollipop = add_lollipop(square4, 1, "white").graph
+    built, init = [], PlabicGraph.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(PlabicGraph, "__init__", counting_init)
+    with pytest.raises(ValueError, match="^no internal vertex 'nope'$"):
+        apply_move(square4, None, Move("contract", "nope"))
+    with pytest.raises(ValueError, match="^boundary vertex 1 ends at lollipop 'lp0'$"):
+        apply_move(lollipop, None, Move("boundary-add", 1))
+    assert built == []
+
+
+def test_an_invalid_move_result_is_an_internal_error(monkeypatch, square4):
+    # a legal move whose result fails validation is a bug in the move, not a
+    # failed precondition: AssertionError, not GraphError
+    step = _Draft.boundary_vertex
+
+    def dropping_step(self, i):
+        step(self, i)
+        self.rotations["bd0"].pop()
+
+    monkeypatch.setattr(_Draft, "boundary_vertex", dropping_step)
+    with pytest.raises(AssertionError, match="^move script built an invalid graph: .*'bd0'"):
+        apply_move(square4, None, Move("boundary-add", 2))
 
 
 def test_moves_keep_diagram_valid(square4, schubert36):

@@ -169,7 +169,7 @@ def test_face_labels_d4_match_figure(d4):
 
 
 def test_boundary_labels_are_necklaces():
-    for g in map(fixtures.load, sorted(fixtures.BUILDERS)):
+    for g in map(fixtures.load, sorted(fixtures.NAMES)):
         pi = g.trip_permutation()
         fwd = necklace_from_perm(pi, "forward")
         rev = necklace_from_perm(pi, "reverse")
@@ -231,7 +231,7 @@ def test_downstream_wedges_square4(square4):
 def test_wedge_boundary_edge_rule():
     # f downstream of a white pendant at a iff f left of strand a;
     # for a black pendant, iff f right of the strand
-    for g in map(fixtures.load, sorted(fixtures.BUILDERS)):
+    for g in map(fixtures.load, sorted(fixtures.NAMES)):
         all_faces = {f.id for f in g.faces()}
         for i in g.boundary_vertices():
             pe = g.pendant_edge(i)
@@ -285,7 +285,7 @@ def oracle_labels(g, mode):
 
 
 def oracle_graphs():
-    yield from map(fixtures.load, sorted(fixtures.BUILDERS))
+    yield from map(fixtures.load, sorted(fixtures.NAMES))
     for n in range(1, 6):
         yield from map(synthesize, all_bounded_affine(n))
     for k in range(3, 10):
@@ -507,7 +507,7 @@ def assert_index_matches_scans(g):
         assert g.directly_upstream(e) == scan_directly(g, e, g.upstream)
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
+@pytest.mark.parametrize("name", sorted(fixtures.NAMES))
 def test_index_matches_scans_on_fixtures(name):
     assert_index_matches_scans(fixtures.load(name))
 
