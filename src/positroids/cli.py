@@ -82,16 +82,17 @@ def cmd_inspect(args) -> None:
 
 
 def to_dot(g: PlabicGraph) -> str:
+    node = {v: _dot_string(v) for v in g.colors}
     lines = ["graph plabic {"]
     for i in g.boundary_vertices():
-        lines.append(f'  b{i} [shape=plaintext, label="{i}"];')
+        node[i] = f"b{i}"
+        while node[i] in g.colors:  # DOT reads b1 and "b1" as one node
+            node[i] += "_"
+        lines.append(f'  {node[i]} [shape=plaintext, label="{i}"];')
     for v, c in sorted(g.colors.items()):
-        fill = "white" if c == "white" else "black"
-        lines.append(f'  {_dot_string(v)} [shape=circle, style=filled, fillcolor={fill}, label=""];')
+        lines.append(f'  {node[v]} [shape=circle, style=filled, fillcolor={c}, label=""];')
     for e, (u, w) in sorted(g.edges.items()):
-        uu = f"b{u}" if g.is_boundary(u) else _dot_string(u)
-        ww = f"b{w}" if g.is_boundary(w) else _dot_string(w)
-        lines.append(f'  {uu} -- {ww} [label={_dot_string(e)}];')
+        lines.append(f'  {node[u]} -- {node[w]} [label={_dot_string(e)}];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -225,8 +226,11 @@ def inspect_payload(graph: PlabicGraph) -> dict:
 
 def cmd_regen_golden(args) -> None:
     """Rewrite the ``inspect`` golden of each fixture; by default into the
-    checkout's ``tests/golden``, found from the package's location."""
-    golden_dir = Path(args.directory or Path(__file__).resolve().parents[2] / "tests" / "golden")
+    ``tests/golden`` of the checkout that holds the package, if it has ``tests``."""
+    tests = Path(__file__).resolve().parents[2] / "tests"
+    if not (args.directory or tests.is_dir()):
+        raise ValueError(f"{tests} is not a checkout's tests directory; name one with --directory")
+    golden_dir = Path(args.directory or tests / "golden")
     golden_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name in sorted(fixtures.NAMES):

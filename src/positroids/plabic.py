@@ -4,7 +4,9 @@ A graph is described by its boundary size n (vertices 1..n clockwise on the
 disc, each of degree one), internal vertices with a 2-coloring, edges with
 ids, and the clockwise cyclic order of edge ids around each internal vertex.
 Faces, strands, the trip permutation and downstream/upstream wedges are all
-derived from this combinatorial map.  Face labels and wedges both are one
+derived from this combinatorial map.  The face trace fills one dart→face map,
+keyed by (edge, toward vertex): the faces beside an edge, at a boundary arc
+or at a corner are each read off it.  Face labels and wedges both are one
 side of an arc of strand pieces across the strand diagram, whose atoms (face
 cores and internal vertices) the pieces separate.  Atoms and pieces get
 integer ids once per graph, strand by strand, so the pieces of a strand from
@@ -58,8 +60,7 @@ class Face:
 class _FaceIndex(NamedTuple):
     faces: list  # in tracing order: by each walk's least dart
     by_id: dict  # face id -> Face
-    by_arc: dict  # boundary arc (i, i+1) -> the face walking along it
-    by_edge: dict  # edge id -> distinct ids of the faces beside it, in face order
+    by_dart: dict  # dart (edge id, toward vertex) -> index in faces of the face walking it
 
 
 class _Atoms(NamedTuple):
@@ -85,12 +86,13 @@ class PlabicGraph:
 
     The incidence index (edges at each vertex, the pendant edge at each
     boundary vertex, the rotation successors) is built once, before
-    validation.  Validation traces the faces once, together with their maps
-    by id, by boundary arc and by edge; strands, labels and wedges are
-    computed on first use, the last two from the suffix masks of one
-    spanning tree of the atom graph: a strand's left faces (which both label
-    modes share) from one mask, each edge's wedge in each direction from an
-    XOR of its crossings' masks.  All of it is memoized on the graph.
+    validation, which reads its degrees off it.  Validation traces the faces
+    once, together with their map by id and the one dart→face map that every
+    face adjacency reads; strands, labels and wedges are computed on first
+    use, the last two from the suffix masks of one spanning tree of the atom
+    graph: a strand's left faces (which both label modes share) from one
+    mask, each edge's wedge in each direction from an XOR of its crossings'
+    masks.  All of it is memoized on the graph.
     """
 
     def __init__(self, n, colors, edges, rotations):
@@ -101,7 +103,7 @@ class PlabicGraph:
         self._cache = {}
         incident = {}
         for e, (u, w) in self.edges.items():
-            for x in (u,) if u == w else (u, w):
+            for x in (u, w):  # a loop twice, so its vertex's degree counts both ends
                 incident.setdefault(x, []).append(e)
         self._incident = {x: tuple(es) for x, es in incident.items()}
         self._pendant = {
@@ -215,32 +217,25 @@ class PlabicGraph:
         return white - black + black_boundary
 
     def _validate(self) -> list[str]:
+        """The violations of the first stage that has any: colours and edge ends
+        (degrees read off the incidence index), rotations, leaves and components, Euler."""
         out = []
         for v, c in self.colors.items():
             if c not in ("white", "black"):
                 out.append(f"vertex {v!r} has bad color {c!r}")
-        degree = {v: 0 for v in self.colors}
-        bdeg = {i: 0 for i in self.boundary_vertices()}
         for e, (u, w) in self.edges.items():
             for x in (u, w):
-                if self.is_boundary(x):
-                    if not 1 <= x <= self.n:
-                        out.append(f"edge {e!r} touches unknown boundary vertex {x}")
-                    else:
-                        bdeg[x] += 1
-                elif x in degree:
-                    degree[x] += 1
-                else:
+                if self.is_boundary(x) and not 1 <= x <= self.n:
+                    out.append(f"edge {e!r} touches unknown boundary vertex {x}")
+                elif not self.is_boundary(x) and x not in self.colors:
                     out.append(f"edge {e!r} touches unknown vertex {x!r}")
-            if not self.is_boundary(u) and not self.is_boundary(w):
-                if u in self.colors and w in self.colors and self.colors[u] == self.colors[w]:
-                    out.append(f"non-bipartite edge {e!r} between two {self.colors[u]} vertices")
-        for i, d in bdeg.items():
-            if d != 1:
-                out.append(f"boundary vertex {i} has degree {d}, expected 1")
-        for e, (u, w) in self.edges.items():
             if self.is_boundary(u) and self.is_boundary(w):
                 out.append(f"edge {e!r} joins two boundary vertices")
+            elif u in self.colors and w in self.colors and self.colors[u] == self.colors[w]:
+                out.append(f"non-bipartite edge {e!r} between two {self.colors[u]} vertices")
+        for i in self.boundary_vertices():
+            if (d := len(self._incident.get(i, ()))) != 1:
+                out.append(f"boundary vertex {i} has degree {d}, expected 1")
         if out:
             return out
         for v in self.colors:
@@ -252,11 +247,9 @@ class PlabicGraph:
                 out.append(f"rotation at {v!r} is not a cyclic order of its incident edges")
         if out:
             return out
-        for v, d in degree.items():
-            if d == 1:
-                neighbor = self.other_end(self.incident(v)[0], v)
-                if not self.is_boundary(neighbor):
-                    out.append(f"interior leaf at vertex {v!r}")
+        for v in self.colors:
+            if len(self.rotations[v]) == 1 and not self.is_boundary(self.other_end(self.rotations[v][0], v)):
+                out.append(f"interior leaf at vertex {v!r}")
         # components must reach the boundary
         seen = set()
         stack = [self.other_end(self.pendant_edge(i), i) for i in self.boundary_vertices()]
@@ -272,11 +265,9 @@ class PlabicGraph:
             out.append(f"vertex {v!r} lies in a component with no boundary vertex")
         if out:
             return out
-        # the rotation system must give a disc embedding: Euler check
-        try:
-            faces = self.faces()
-        except Exception as exc:  # malformed rotation closes walks badly
-            return [f"rotation system does not close up: {exc}"]
+        # Euler check for a disc embedding.  The rotations permute the edges at each vertex,
+        # so the face walks are the orbits of a permutation of the darts and close up
+        faces = self.faces()
         if len(faces) + len(self.colors) != len(self.edges) + 1:
             out.append(
                 "rotation inconsistent with planarity: "
@@ -299,23 +290,23 @@ class PlabicGraph:
     def _trace_faces(self) -> _FaceIndex:
         """Walk every face once, each from its least dart by (str(edge),
         str(from)); the walks come out in that order, which fixes the
-        numbering of the internal faces."""
+        numbering of the internal faces.  Each dart's face is recorded as it is
+        walked; the stages of validation before the trace rule out a dart met twice."""
         darts = sorted(
             (d for e, (u, w) in self.edges.items() for d in ((e, u, w), (e, w, u))),
             key=lambda d: (str(d[0]), str(d[1])),
         )
-        unused = set(darts)
-        faces = []
+        faces, by_dart = [], {}
         internal_index = 0
         for start in darts:
-            if start not in unused:
+            if (start[0], start[2]) in by_dart:
                 continue
             walk = []
             d = start
             while True:
-                if d not in unused:
-                    raise ValueError(f"dart {d} revisited; rotation is not a permutation")
-                unused.discard(d)
+                if (d[0], d[2]) in by_dart:
+                    raise AssertionError(f"dart {d} revisited; the face walks are not a permutation")
+                by_dart[d[0], d[2]] = len(faces)
                 walk.append(d)
                 d = self._next_dart(d)
                 if d == start:
@@ -330,23 +321,15 @@ class PlabicGraph:
                 internal_index += 1
                 fid = f"f{internal_index}"
             faces.append(Face(fid, tuple(walk), arcs, tuple(d[0] for d in walk)))
-        by_arc, by_edge = {}, {}
-        for f in faces:
-            for arc in f.arcs:
-                by_arc.setdefault(arc, f)
-            for e in f.edges:
-                beside = by_edge.setdefault(e, [])
-                if f.id not in beside:
-                    beside.append(f.id)
-        return _FaceIndex(
-            faces,
-            {f.id: f for f in faces},
-            by_arc,
-            {e: tuple(fids) for e, fids in by_edge.items()},
-        )
+        return _FaceIndex(faces, {f.id: f for f in faces}, by_dart)
 
     def _faces(self) -> _FaceIndex:
         return self._memo("faces", self._trace_faces)
+
+    def _dart_face(self, e, toward) -> Face:
+        """The face whose walk crosses edge e toward the given vertex."""
+        index = self._faces()
+        return index.faces[index.by_dart[e, toward]]
 
     def faces(self) -> list[Face]:
         return self._faces().faces
@@ -356,30 +339,22 @@ class PlabicGraph:
 
     def edge_faces(self, edge_id: str) -> tuple:
         """Ids of the distinct faces beside the edge, in ``faces()`` order."""
-        return self._faces().by_edge[edge_id]
+        index = self._faces()
+        beside = sorted({index.by_dart[edge_id, x] for x in self.edges[edge_id]})
+        return tuple(index.faces[a].id for a in beside)
 
     def boundary_face(self, i: int) -> Face:
-        """The face whose walk runs along the boundary arc from i to i+1."""
-        face = self._faces().by_arc.get((i, i % self.n + 1))
-        if face is None:
-            raise AssertionError("every arc lies on some face")
-        return face
+        """The face whose walk runs along the boundary arc from i to i+1,
+        into i+1 along its pendant edge."""
+        j = i % self.n + 1
+        return self._dart_face(self.pendant_edge(j), j)
 
     def face_of_corner(self, v, e_in, e_out) -> Face:
-        """Face whose walk turns from edge e_in to edge e_out at internal v."""
-        return self._memo("corners", self._trace_corners)[(v, e_in, e_out)]
-
-    def _trace_corners(self):
-        corners = {}
-        for f in self.faces():
-            walk = f.walk
-            for idx, dart in enumerate(walk):
-                e, _, v = dart
-                if self.is_boundary(v):
-                    continue
-                nxt = walk[(idx + 1) % len(walk)]
-                corners[(v, e, nxt[0])] = f
-        return corners
+        """Face whose walk turns from edge e_in to edge e_out at internal v: the
+        face of the dart along e_in into v, if e_out follows e_in clockwise there."""
+        if self._turns[v, e_in][0] != e_out:
+            raise KeyError((v, e_in, e_out))
+        return self._dart_face(e_in, v)
 
     # -- strands ----------------------------------------------------------
 
@@ -517,10 +492,9 @@ class PlabicGraph:
         return {f.id for a, f in enumerate(self.faces()) if (far >> a & 1) == white}
 
     def _corner_face(self, v, e_in, e_out) -> Face:
-        """The face a strand cuts off at internal v, turning from e_in to e_out."""
-        if self.colors[v] == "white":
-            return self.face_of_corner(v, e_in, e_out)
-        return self.face_of_corner(v, e_out, e_in)
+        """The face a strand cuts off at internal v, turning from e_in to e_out: that of
+        the dart into v along e_in if v is white (the strand turns clockwise), else e_out."""
+        return self._dart_face(e_in if self.colors[v] == "white" else e_out, v)
 
     def _atoms(self) -> _Atoms:
         return self._memo("atoms", self._span_atoms)

@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -63,6 +64,40 @@ def test_inspect_dot_escapes_quotes_and_backslashes(tmp_path):
     lines = json.loads(run_cli("inspect", str(path), "--dot"))["dot"].splitlines()
     assert '  "v\\"1" [shape=circle, style=filled, fillcolor=white, label=""];' in lines
     assert '  "v\\"1" -- "v2" [label="s\\\\12"];' in lines
+
+
+def dot_node_ids(dot: str):
+    """(declared node ids, edge endpoint ids) of a DOT graph, quotes stripped."""
+    nodes, ends = [], []
+    for line in dot.splitlines()[1:-1]:
+        head = line.split(" [")[0].strip()
+        if " -- " in head:
+            ends += [x.strip('"') for x in head.split(" -- ")]
+        else:
+            nodes.append(head.strip('"'))
+    return nodes, ends
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_inspect_dot_declares_one_node_per_vertex(name):
+    from positroids import cli, fixtures
+
+    g = fixtures.load(name)
+    nodes, ends = dot_node_ids(cli.to_dot(g))
+    assert len(set(nodes)) == len(nodes) == g.n + len(g.colors)
+    assert set(ends) <= set(nodes) and len(ends) == 2 * len(g.edges)
+
+
+def test_inspect_dot_renames_a_boundary_node_that_is_an_internal_id(tmp_path):
+    # square4 with v1 renamed b1 and v2 renamed b1_: boundary vertex 1 is node b1__
+    text = (FIXTURES / "square4.json").read_text()
+    path = tmp_path / "b1.json"
+    path.write_text(text.replace('"v1"', '"b1"').replace('"v2"', '"b1_"'))
+    out = json.loads(run_cli("inspect", str(path), "--dot"))
+    nodes, ends = dot_node_ids(out["dot"])
+    assert nodes[:4] == ["b1__", "b2", "b3", "b4"]
+    assert len(set(nodes)) == len(nodes) == 4 + 4
+    assert set(ends) <= set(nodes) and len(ends) == 2 * out["edges"]
 
 
 def test_inspect_of_a_reduced_graph_lists_no_matching(monkeypatch, capsys):
@@ -453,6 +488,26 @@ def test_regen_golden_rewrites_the_same_bytes(tmp_path):
     assert written == sorted(committed) == sorted(f"inspect_{name}.json" for name in fixtures.NAMES)
     for name in written:
         assert (tmp_path / name).read_bytes() == committed[name].read_bytes(), name
+
+
+def test_regen_golden_outside_a_checkout_writes_nothing(tmp_path):
+    # an installed package, two levels below a directory with no tests/ in it
+    site = tmp_path / "lib" / "site-packages"
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src" / "positroids", site / "positroids", ignore=skip)
+    before = sorted(tmp_path.rglob("*"))
+    result = subprocess.run(
+        [sys.executable, "-B", "-m", "positroids.cli", "regen-golden"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(site), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "--directory" in result.stderr
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_golden_inspect_outputs():

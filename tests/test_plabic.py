@@ -449,6 +449,18 @@ def scan_edge_faces(g, e):
     return [f.id for f in g.faces() if e in f.edges]
 
 
+def scan_corners(g):
+    """(v, e_in, e_out) -> the face whose walk turns from e_in to e_out at
+    internal v, read off every face walk."""
+    corners = {}
+    for f in g.faces():
+        for dart, nxt in zip(f.walk, f.walk[1:] + f.walk[:1]):
+            e, _, v = dart
+            if not g.is_boundary(v):
+                corners[(v, e, nxt[0])] = f
+    return corners
+
+
 def scan_directly(g, e, wedge):
     faces, _ = wedge(e)
     hits = [fid for fid in set(scan_edge_faces(g, e)) if fid in faces]
@@ -505,6 +517,19 @@ def assert_index_matches_scans(g):
         assert list(g.edge_faces(e)) == scan_edge_faces(g, e)
         assert g.directly_downstream(e) == scan_directly(g, e, g.downstream)
         assert g.directly_upstream(e) == scan_directly(g, e, g.upstream)
+    corners = scan_corners(g)
+    assert len(corners) == sum(len(rot) for rot in g.rotations.values())
+    for (v, e_in, e_out), face in corners.items():
+        assert g.face_of_corner(v, e_in, e_out) == face
+    # a turn the other way round an internal vertex, or at a boundary vertex, is no corner
+    for v, rot in g.rotations.items():
+        for e_in, e_out in zip(rot, rot[1:] + rot[:1]):
+            if (v, e_out, e_in) not in corners:
+                with pytest.raises(KeyError):
+                    g.face_of_corner(v, e_out, e_in)
+    for i in g.boundary_vertices():
+        with pytest.raises(KeyError):
+            g.face_of_corner(i, g.pendant_edge(i), g.pendant_edge(i))
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.NAMES))
@@ -518,4 +543,166 @@ def test_index_matches_scans_on_synthesized_graphs():
         for pi in all_bounded_affine(n):
             assert_index_matches_scans(synthesize(pi))
             count += 1
-    assert count == 2 + 5 + 16 + 65
+    rng = random.Random(25)
+    cells = [synthesize(random_bounded_affine(rng.randint(1, 10), rng)) for _ in range(60)]
+    for g in (*cells, synthesize(BoundedAffinePermutation(tuple(range(9, 25))))):
+        assert_index_matches_scans(g)
+        count += 1
+    assert count == 2 + 5 + 16 + 65 + 60 + 1
+
+
+# -- validation against the degree counts and face trace it replaced -------
+
+
+def oracle_validate(self):
+    """Violations as counted by a second pass over the edges, with a catch-all
+    around the face trace."""
+    out = []
+    for v, c in self.colors.items():
+        if c not in ("white", "black"):
+            out.append(f"vertex {v!r} has bad color {c!r}")
+    degree = {v: 0 for v in self.colors}
+    bdeg = {i: 0 for i in self.boundary_vertices()}
+    for e, (u, w) in self.edges.items():
+        for x in (u, w):
+            if self.is_boundary(x):
+                if not 1 <= x <= self.n:
+                    out.append(f"edge {e!r} touches unknown boundary vertex {x}")
+                else:
+                    bdeg[x] += 1
+            elif x in degree:
+                degree[x] += 1
+            else:
+                out.append(f"edge {e!r} touches unknown vertex {x!r}")
+        if not self.is_boundary(u) and not self.is_boundary(w):
+            if u in self.colors and w in self.colors and self.colors[u] == self.colors[w]:
+                out.append(f"non-bipartite edge {e!r} between two {self.colors[u]} vertices")
+    for i, d in bdeg.items():
+        if d != 1:
+            out.append(f"boundary vertex {i} has degree {d}, expected 1")
+    for e, (u, w) in self.edges.items():
+        if self.is_boundary(u) and self.is_boundary(w):
+            out.append(f"edge {e!r} joins two boundary vertices")
+    if out:
+        return out
+    for v in self.colors:
+        rot = self.rotations.get(v)
+        if rot is None:
+            out.append(f"vertex {v!r} has no rotation")
+            continue
+        if sorted(rot) != sorted(self.incident(v)):
+            out.append(f"rotation at {v!r} is not a cyclic order of its incident edges")
+    if out:
+        return out
+    for v, d in degree.items():
+        if d == 1:
+            neighbor = self.other_end(self.incident(v)[0], v)
+            if not self.is_boundary(neighbor):
+                out.append(f"interior leaf at vertex {v!r}")
+    seen = set()
+    stack = [self.other_end(self.pendant_edge(i), i) for i in self.boundary_vertices()]
+    while stack:
+        v = stack.pop()
+        if v in seen or self.is_boundary(v):
+            continue
+        seen.add(v)
+        for e in self.incident(v):
+            stack.append(self.other_end(e, v))
+    for v in sorted(set(self.colors) - seen):
+        out.append(f"vertex {v!r} lies in a component with no boundary vertex")
+    if out:
+        return out
+    try:
+        faces = self.faces()
+    except Exception as exc:
+        return [f"rotation system does not close up: {exc}"]
+    if len(faces) + len(self.colors) != len(self.edges) + 1:
+        out.append(
+            "rotation inconsistent with planarity: "
+            f"|F|={len(faces)}, |V|={len(self.colors)}, |E|={len(self.edges)}"
+        )
+    return out
+
+
+class Unvalidated(PlabicGraph):
+    """A graph whose constructor builds the index and skips validation."""
+
+    def _validate(self):
+        return []
+
+
+MUTATIONS = ("recolor", "swap", "drop", "duplicate", "end", "delete-edge", "move-edge")
+
+
+def mutate(colors, edges, rotations, n, rng, kinds=MUTATIONS):
+    """Apply one seeded edit in place; edits of a rotation pick a vertex with one."""
+    kind = rng.choice(kinds)
+    rot = rotations[rng.choice([v for v, r in sorted(rotations.items()) if r])]
+    if kind == "recolor":
+        v = rng.choice(sorted(colors))
+        colors[v] = "white" if colors[v] == "black" else "black"
+    elif kind == "swap":
+        i, j = rng.randrange(len(rot)), rng.randrange(len(rot))
+        rot[i], rot[j] = rot[j], rot[i]
+    elif kind == "drop":
+        del rot[rng.randrange(len(rot))]
+    elif kind == "duplicate":
+        rot.insert(rng.randrange(len(rot) + 1), rng.choice(rot))
+    elif kind == "end":
+        e = rng.choice(sorted(edges))
+        ends = list(edges[e])
+        ends[rng.randrange(2)] = rng.choice([*sorted(colors), *range(n + 2)])
+        edges[e] = tuple(ends)
+    elif kind == "delete-edge":  # from the edges and from every rotation
+        e = rng.choice(sorted(edges))
+        del edges[e]
+        for r in rotations.values():
+            r[:] = [x for x in r if x != e]
+    else:
+        e = rot.pop(rng.randrange(len(rot)))
+        other = rotations[rng.choice(sorted(rotations))]
+        other.insert(rng.randrange(len(other) + 1), e)
+
+
+# one phrase of each violation that a mutation can cause, and of a valid graph
+VIOLATION_KINDS = (
+    "unknown boundary vertex", "non-bipartite", "has degree", "joins two boundary",
+    "not a cyclic order", "interior leaf", "no boundary vertex", "planarity", "valid",
+)
+
+
+def test_validation_matches_the_oracle_on_mutated_fixtures():
+    rng = random.Random(6000)
+    kinds = dict.fromkeys(VIOLATION_KINDS, 0)
+    for trial in range(6000):
+        g = fixtures.load(sorted(fixtures.NAMES)[trial % len(fixtures.NAMES)])
+        colors, edges = dict(g.colors), dict(g.edges)
+        rotations = {v: list(r) for v, r in g.rotations.items()}
+        # one trial in three only deletes edges, two or more of which can
+        # strand a leaf or a component
+        deleting = trial % 3 == 0
+        for _ in range(rng.randint(2, 4) if deleting else rng.randint(1, 3)):
+            mutate(colors, edges, rotations, g.n, rng, ("delete-edge",) if deleting else MUTATIONS)
+        try:
+            PlabicGraph(g.n, colors, edges, rotations)
+            got = []
+        except GraphError as exc:
+            got = exc.violations
+        want = oracle_validate(Unvalidated(g.n, colors, edges, rotations))
+        assert sorted(got) == sorted(want), (trial, colors, edges, rotations)
+        for v in want or ["valid"]:
+            kind = next((kind for kind in VIOLATION_KINDS if kind in v), v)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    # every stage of validation is reached, and the oracle's catch-all never is
+    assert list(kinds) == list(VIOLATION_KINDS) and all(kinds.values()), kinds
+
+
+def test_a_revisited_dart_is_an_internal_error(monkeypatch, capsys):
+    # a face walk that runs into one of its own darts, not back to its start
+    monkeypatch.setattr(PlabicGraph, "_next_dart", lambda self, dart: ("leg1", "v1", 1))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["inspect", "square4"])
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: dart ('leg1', 'v1', 1) revisited")
+    assert len(err.splitlines()) == 1

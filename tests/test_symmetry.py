@@ -1,10 +1,17 @@
-"""Cyclic shift: an oracle at any size for the path sums, the measurement and
-the twists (Postnikov, math/0609764).
+"""Cyclic shift and colour-swap duality: oracles at any size for the path
+sums, the measurement and the twists (Postnikov, math/0609764).
 
 Relabelling boundary vertex x as x - 1, and 1 as n, moves the point's first
 column to the end, with the sign (-1)^(k-1) that keeps a totally
 nonnegative point so.  The twists are built from the necklaces, which rotate
 with the columns, so they commute with the shift.
+
+Exchanging the two colours of a graph takes its point A to the alternating
+dual A^perp-alt, the orthogonal complement of A's rows with column j times
+(-1)^j.  The bases of the dual are the complements of A's, so its forward
+necklace is read off A's reverse one and the other way round, and duality
+swaps the two twists: the left twist of the dual is the dual of the right
+twist.
 """
 import random
 from fractions import Fraction as Q
@@ -13,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bounded_affine
+from conftest import all_bounded_affine, random_bounded_affine
 from positroids import fixtures
 from positroids.core import BoundedAffinePermutation
 from positroids.linalg import RationalMatrix, pluecker, twist
@@ -71,6 +78,46 @@ def check_rotation(g: PlabicGraph, z: dict) -> None:
     assert_proportional(measure(rotate(g), z), pluecker(rho(A)))
 
 
+def dual(A: RationalMatrix) -> RationalMatrix:
+    """A^perp-alt: a basis of the orthogonal complement of A's rows, with
+    column j times (-1)^j.  Row j of the basis is the kernel vector that is
+    1 at A's j-th free column, read off its reduced row echelon form."""
+    echelon = row_reduced(A)
+    pivots = [next(a for a, x in enumerate(row) if x) for row in echelon]
+    rows = []
+    for free in (a for a in range(A.n) if a not in pivots):
+        x = [Q(a == free) for a in range(A.n)]
+        for row, pivot in zip(echelon, pivots):
+            x[pivot] = -row[free]
+        rows.append([(-1) ** j * v for j, v in enumerate(x, 1)])
+    return RationalMatrix.build(rows)
+
+
+def swap(g: PlabicGraph) -> PlabicGraph:
+    """g with its two colours exchanged, ids and rotations kept."""
+    colors = {v: "black" if c == "white" else "white" for v, c in g.colors.items()}
+    return PlabicGraph(g.n, colors, g.edges, g.rotations)
+
+
+def check_dual_twists(A: RationalMatrix) -> None:
+    D = dual(A)
+    assert row_reduced(twist(D, "left")) == row_reduced(dual(twist(A, "right")))
+    assert row_reduced(twist(D, "right")) == row_reduced(dual(twist(A, "left")))
+
+
+def check_duality(g: PlabicGraph, z: dict, by_rows=False) -> None:
+    """The twists of the dual against the dual twists, and the measurement of
+    the swapped graph against the dual point, or their row spaces if by_rows."""
+    A, _ = boundary_measurement_matrix(g, z)
+    if not 0 < A.k < A.n:  # a dual or a point with no rows
+        return
+    check_dual_twists(A)
+    if by_rows:
+        assert row_reduced(boundary_measurement_matrix(swap(g), z)[0]) == row_reduced(dual(A))
+    else:
+        assert_proportional(measure(swap(g), z), pluecker(dual(A)))
+
+
 def test_rho_and_rotate_have_order_n(d4):
     A, _ = boundary_measurement_matrix(d4, dict.fromkeys(d4.edges, Q(1)))
     B, h = A, d4
@@ -108,3 +155,52 @@ def test_cyclic_shift_on_the_gr8_16_top_cell():
     for direction in ("right", "left"):
         assert twist(rho(A), direction) == rho(twist(A, direction)), direction
     assert row_reduced(boundary_measurement_matrix(rotate(g), z)[0]) == row_reduced(rho(A))
+
+
+def test_dual_is_orthogonal_and_an_involution(d4):
+    A, _ = boundary_measurement_matrix(d4, dict.fromkeys(d4.edges, Q(1)))
+    D = dual(A)
+    assert (D.k, D.n) == (A.n - A.k, A.n)
+    # undo the signs, and each row of the dual is orthogonal to each row of A
+    plain = [[(-1) ** j * x for j, x in enumerate(row, 1)] for row in D.rows]
+    assert all(sum(x * y for x, y in zip(a, d)) == 0 for a in A.rows for d in plain)
+    assert row_reduced(dual(D)) == row_reduced(A)
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_duality_on_the_fixtures(name):
+    g = fixtures.load(name)
+    rng = random.Random(name)
+    for _ in range(3):
+        # tri6 swaps to k = 12 of n = 18, binom(18, 12) = 18,564 coordinates
+        check_duality(g, random_weighting(g, rng), by_rows=name == "tri6")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10), st.randoms(use_true_random=False))
+def test_duality_on_random_cells(n, rng):
+    g = synthesize(random_bounded_affine(n, rng))
+    check_duality(g, random_weighting(g, rng))
+
+
+def test_duality_of_the_twists_on_the_gr8_16_top_cell():
+    g = synthesize(BoundedAffinePermutation(tuple(range(9, 25))))
+    A, _ = boundary_measurement_matrix(g, random_weighting(g, random.Random(816)))
+    check_dual_twists(A)
+
+
+def test_swap_inverts_the_trip_permutation_and_complements_the_labels():
+    # pi(a) = b + s n for b in [n] gives the swapped graph's strand from b the lift a - s n + n
+    count = 0
+    cells = (synthesize(pi) for n in range(1, 6) for pi in all_bounded_affine(n))
+    for g in (*map(fixtures.load, fixtures.NAMES), *cells):
+        h = swap(g)
+        inverse = [0] * g.n
+        for a, v in enumerate(g.trip_permutation().values, 1):
+            inverse[(v - 1) % g.n] = a - (v - 1) // g.n * g.n + g.n
+        assert h.trip_permutation().values == tuple(inverse)
+        everything = set(g.boundary_vertices())
+        source, target = g.face_labels("source"), h.face_labels("target")
+        assert {f: tuple(sorted(everything - set(l))) for f, l in source.items()} == target
+        count += 1
+    assert count == 6 + 414
