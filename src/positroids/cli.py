@@ -51,8 +51,11 @@ def load_matrix(path: str) -> RationalMatrix:
     return RationalMatrix.from_json(read_json(path))
 
 
-def load_weights(path: str) -> dict:
+def load_weights(path: str, graph: PlabicGraph) -> dict:
     payload = json_shape(read_json(path), dict, "a weights file")
+    unknown = sorted(payload.keys() - graph.edges.keys())
+    if unknown:
+        raise ValueError(f"the weights file names edge {unknown[0]!r}, which the graph lacks")
     return {e: as_fraction(v) for e, v in payload.items()}
 
 
@@ -119,8 +122,7 @@ def cmd_matchings(args) -> None:
 
 def cmd_measure(args) -> None:
     g = load_graph(args.graph)
-    z = load_weights(args.weights)
-    p = measure(g, z)
+    p = measure(g, load_weights(args.weights, g))
     emit({"n": p.n, "k": p.k, "pluecker": p.to_json()})
 
 
@@ -160,7 +162,8 @@ def cmd_synth(args) -> None:
 
 
 def cmd_move(args) -> None:
-    g, z, notes = run_script(load_graph(args.graph), load_weights(args.weights), _script(args.spec))
+    g = load_graph(args.graph)
+    g, z, notes = run_script(g, load_weights(args.weights, g), _script(args.spec))
     emit(
         {
             "graph": g.to_json(),

@@ -1,15 +1,18 @@
 """Cyclic Gale orders, Grassmann necklaces and bounded affine permutations.
 
 Subsets of [n] = {1, ..., n} are represented as sorted tuples of ints.
-All boundary indices are 1-based.  A bounded affine permutation of type
-(k, n) is stored by its window values (pi(1), ..., pi(n)) and extended
-n-periodically, so decorated fixed points are encoded by the value itself:
-pi(a) = a is a "black" fixed point and pi(a) = a + n a "white" one.
+All boundary indices are 1-based.  A positroid's bases are one tuple of
+such subsets in lexicographic order, as Oh's walk lists them.  A bounded
+affine permutation of type (k, n) is stored by its window values
+(pi(1), ..., pi(n)) and extended n-periodically, so decorated fixed points
+are encoded by the value itself: pi(a) = a is a "black" fixed point and
+pi(a) = a + n a "white" one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 
@@ -148,12 +151,17 @@ class BoundedAffinePermutation:
 
     def inverse_window(self) -> tuple[int, ...]:
         """(pi^{-1}(1), ..., pi^{-1}(n)), in one pass over the window."""
-        n = self.n
-        out = [0] * n
-        for a, v in enumerate(self.values, start=1):
-            b = (v - 1) % n + 1
-            out[b - 1] = a + (b - v)
-        return tuple(out)
+        return tuple(_inverse_window(self.values))
+
+
+def _inverse_window(values: Sequence[int]) -> list[int]:
+    """(pi^{-1}(1), ..., pi^{-1}(n)) from window values that are not validated."""
+    n = len(values)
+    out = [0] * n
+    for a, v in enumerate(values, start=1):
+        b = (v - 1) % n + 1
+        out[b - 1] = a + (b - v)
+    return out
 
 
 def pi_implies(pi: BoundedAffinePermutation, a: int, b: int) -> bool:
@@ -215,18 +223,22 @@ def necklace_from_perm(pi: BoundedAffinePermutation, direction: str = "forward")
 
 @dataclass(frozen=True)
 class Positroid:
-    bases: frozenset[tuple[int, ...]]
+    """A positroid by its bases: one tuple of k-subsets in lexicographic order, as Oh's walk lists them."""
+
+    bases: tuple[tuple[int, ...], ...]
     n: int
     k: int
     # the forward necklace, when the positroid was built from it
     necklace: Optional[GrassmannNecklace] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "bases", tuple(sorted(self.bases)))  # linear on the walk's sorted list
         if not self.bases:
             raise ValueError("positroid with no bases")
-        for b in self.bases:
-            if len(b) != self.k:
-                raise ValueError("basis of wrong size")
+        if any(map(eq, self.bases, islice(self.bases, 1, None))):  # once sorted, repeats are adjacent
+            raise ValueError("repeated basis")
+        if any(len(b) != self.k for b in self.bases):
+            raise ValueError("basis of wrong size")
 
     def forward_necklace(self) -> GrassmannNecklace:
         if self.necklace is not None:
@@ -283,4 +295,4 @@ def positroid_from_necklace(neck: GrassmannNecklace) -> Positroid:
                 break
         else:
             bases.append(J)
-    return Positroid(frozenset(bases), n, k, neck)
+    return Positroid(bases, n, k, neck)

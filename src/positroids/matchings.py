@@ -107,7 +107,7 @@ def graph_positroid(graph: PlabicGraph) -> Positroid:
     if not boundaries:
         raise PreconditionError("graph admits no matching")
     pos = positroid_from_necklace(necklace_from_bases(boundaries, graph.n, "forward"))
-    if pos.bases != boundaries:
+    if pos.bases != tuple(sorted(boundaries)):
         raise AssertionError("matching boundaries are not a positroid")
     return pos
 

@@ -466,7 +466,7 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     graph.require_reduced()
     if graph.k == 0:
         raise PreconditionError("k = 0: the point has no matrix to twist")
-    bases = sorted(graph_positroid(graph).bases)
+    bases = graph_positroid(graph).bases
     rng = random.Random(seed)
     report = []
     for trial in range(trials):

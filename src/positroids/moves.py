@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import BoundedAffinePermutation
+from .core import BoundedAffinePermutation, _inverse_window
 from .linalg import Q, as_fraction
 from .errors import json_shape
 from .measurement import check_weighting
@@ -486,11 +486,8 @@ def synthesis_steps(pi: BoundedAffinePermutation) -> list[Move]:
             reversed_steps.append(Move(f"{color}-lollipop", fixed))
             values = _strip_position(values, fixed)
             continue
-        inv = [0] * (n + 1)  # pi^{-1}(1), ..., pi^{-1}(n), then pi^{-1}(n+1)
-        for a, v in enumerate(values, 1):
-            b = (v - 1) % n + 1
-            inv[b - 1] = a + b - v
-        inv[n] = inv[0] + n
+        inv = _inverse_window(values)
+        inv.append(inv[0] + n)  # pi^{-1}(n+1)
         i = next((i for i in range(1, n + 1) if inv[i - 1] < inv[i]), None)
         if i is None:
             raise ValueError("no legal lollipop or bridge step; invalid permutation?")

@@ -212,6 +212,20 @@ def test_move_checks_the_weighting_first(tmp_path, leg1):
     assert "'leg1'" in result.stderr, result.stderr
 
 
+@pytest.mark.parametrize("command", ["measure", "move"])
+def test_weights_naming_an_edge_the_graph_lacks(tmp_path, command):
+    # every square4 edge weighted, plus two ids square4 lacks: the first of
+    # them in sorted order is named, and the file is not read with them dropped
+    weights = json.loads(square4_weights()) | {"zz": "2", "typo": "5"}
+    wpath, spath = tmp_path / "w.json", tmp_path / "moves.json"
+    wpath.write_text(json.dumps(weights))
+    spath.write_text("[]")
+    spec = ["--spec", str(spath)] if command == "move" else []
+    result = run_cli_result(command, "square4", str(wpath), *spec, expect=1)
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert "'typo'" in result.stderr and "'zz'" not in result.stderr, result.stderr
+
+
 def test_move_refuses_boundary_add_at_a_lollipop(tmp_path):
     # 1 is a fixed point of the permutation, so boundary vertex 1 ends at a
     # lollipop, which a boundary vertex would turn into an interior leaf

@@ -1,9 +1,11 @@
 import functools
-from itertools import combinations
+import random
+from itertools import combinations, pairwise
 
 import pytest
 
-from conftest import all_bounded_affine, plan_graphs
+from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
+from positroids import fixtures
 from positroids.core import (
     BoundedAffinePermutation,
     GrassmannNecklace,
@@ -18,6 +20,8 @@ from positroids.core import (
     pi_implies,
     positroid_from_necklace,
 )
+from positroids.matchings import graph_positroid
+from positroids.moves import synthesize
 
 SCHUBERT_BASES = [b for b in combinations(range(1, 7), 3) if b != (1, 2, 3)]
 SCHUBERT_NECKLACE = ((1, 2, 4), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6), (1, 2, 6))
@@ -113,8 +117,25 @@ def test_perm_necklace_round_trip_exhaustive(n):
 
 def test_positroid_from_necklace_schubert():
     pos = positroid_from_necklace(GrassmannNecklace(SCHUBERT_NECKLACE, 6))
-    assert pos.bases == frozenset(SCHUBERT_BASES)
+    assert pos.bases == tuple(sorted(frozenset(SCHUBERT_BASES)))
     assert len(pos.bases) == 19
+    # the bases are one lexicographic tuple however they are passed in, and
+    # a repeated basis is refused
+    assert Positroid(frozenset(SCHUBERT_BASES), 6, 3).bases == pos.bases
+    assert Positroid(SCHUBERT_BASES[::-1], 6, 3).bases == pos.bases
+    with pytest.raises(ValueError, match="repeated basis"):
+        Positroid(SCHUBERT_BASES + [(2, 3, 4)], 6, 3)
+    # graph_positroid lists the walk's bases in strictly increasing order, and
+    # they are the Gale-key oracle's, on every fixture, 40 seeded cells with
+    # n <= 9 and the top cells Gr(4,8), Gr(5,10) and Gr(6,12)
+    rng = random.Random(26)
+    graphs = [*map(fixtures.load, sorted(fixtures.NAMES))]
+    graphs += [synthesize(random_bounded_affine(n, rng)) for n in range(6, 10) for _ in range(10)]
+    graphs += [synthesize(BoundedAffinePermutation(tuple(range(k + 1, 3 * k + 1)))) for k in (4, 5, 6)]
+    for g in graphs:
+        bases = graph_positroid(g).bases
+        assert all(a < b for a, b in pairwise(bases)), g.trip_permutation().values
+        assert bases == tuple(sorted(gale_key_positroid(necklace_from_perm(g.trip_permutation()))))
 
 
 def gale_key_positroid(neck):
@@ -141,7 +162,7 @@ def test_positroid_from_necklace_matches_gale_keys(n):
     for pi in all_bounded_affine(n):
         neck = necklace_from_perm(pi)
         pos = positroid_from_necklace(neck)
-        assert pos.bases == gale_key_positroid(neck), pi.values
+        assert pos.bases == tuple(sorted(gale_key_positroid(neck))), pi.values
         assert pos.forward_necklace() is neck
 
 
@@ -152,7 +173,7 @@ def test_positroid_from_necklace_uniform():
 
 def test_positroid_from_necklace_single_basis():
     neck = necklace_from_bases([(2, 4)], 5, "forward")
-    assert positroid_from_necklace(neck).bases == frozenset({(2, 4)})
+    assert positroid_from_necklace(neck).bases == tuple(sorted(frozenset({(2, 4)})))
 
 
 def test_length_schubert_is_codimension_one():
