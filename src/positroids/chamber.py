@@ -55,7 +55,7 @@ def factorization_parameters(word, matrix: RationalMatrix):
         raise ValueError(f"need a {wires} x {wires} matrix for this word")
     graph = chamber(word)
     face_values = face_pluecker(graph, twist(embed(matrix), "right"), "source")
-    inverse, _ = boundary_partial(graph, face_values, "min")
+    inverse = boundary_partial(graph, face_values, "min")
     verticals = [f"v{pos}" for pos in range(len(word))]
     right_pendants = [graph.pendant_edge(i) for i in range(1, wires + 1)]
     free = set(verticals) | set(right_pendants)

@@ -102,6 +102,8 @@ class RationalMatrix:
 
     def __init__(self, rows: Iterable[Iterable]):
         grid = [[_ratio(x) for x in row] for row in rows]
+        if len({len(row) for row in grid}) > 1:
+            raise ValueError("ragged rows")
         self._fill(len(grid), map(_from_ratios, zip(*grid)))
 
     def _fill(self, k: int, columns: Iterable[tuple[tuple[int, ...], int]]) -> None:
@@ -125,12 +127,11 @@ class RationalMatrix:
 
     @classmethod
     def build(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        grid = [[_ratio(x) for x in row] for row in rows]
-        if not grid or not grid[0]:
+        """``RationalMatrix(rows)``, which must have a row and a column."""
+        matrix = cls(rows)
+        if not matrix.n:
             raise ValueError("empty matrix")
-        if len({len(r) for r in grid}) != 1:
-            raise ValueError("ragged rows")
-        return cls.of_ratios(len(grid), zip(*grid))
+        return matrix
 
     @property
     def n(self) -> int:
@@ -362,9 +363,6 @@ class PlueckerVector:
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coords.values())
-
-    def scaled(self, factor: Fraction) -> "PlueckerVector":
-        return PlueckerVector(self.n, self.k, {I: factor * v for I, v in self.coords.items()})
 
     def to_json(self) -> list:
         return [

@@ -139,11 +139,8 @@ def _boundary_matrix(graph: PlabicGraph, upstream: bool) -> BoundaryMatrix:
     for e, (u, w) in graph.edges.items():
         face = directly(e)
         halves[face].add(e)
-        if graph.is_boundary(u) or graph.is_boundary(w):
-            divisors[e] = (face,)
-        else:
-            beside = graph.edge_faces(e)
-            divisors[e] = beside * 2 if len(beside) == 1 else beside  # lollipop edge: face on both sides
+        # in a reduced graph an internal edge has two distinct faces beside it
+        divisors[e] = (face,) if graph.is_boundary(u) or graph.is_boundary(w) else graph.edge_faces(e)
     return BoundaryMatrix(divisors, {fid: frozenset(es) for fid, es in halves.items()})
 
 
@@ -243,11 +240,10 @@ def _checked_matching(graph: PlabicGraph, face_id: str, edges: frozenset) -> fro
 
 def face_exponents(graph: PlabicGraph, matching: Iterable[str]) -> dict:
     """Exponent of each face in the minimal-matching monomial expansion: the
-    matching's edges with the face in their column of ∂, each counted once,
-    less B_f - 1."""
+    matching's edges with the face in their column of ∂, less B_f - 1."""
     graph.require_reduced()
     plan = boundary_matrix(graph, "min")
-    hits = Counter(fid for e in matching for fid in set(plan.divisors[e]))
+    hits = Counter(fid for e in matching for fid in plan.divisors[e])
     return {fid: hits[fid] - (len(half) - 1) for fid, half in plan.halves.items()}
 
 

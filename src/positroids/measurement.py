@@ -31,7 +31,6 @@ from itertools import combinations
 from math import gcd, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import gale_min
 from .errors import PreconditionError
 from .linalg import PlueckerVector, Q, RationalMatrix, as_fraction, minor, minors, permutation_sign, pluecker, twist
 from .matchings import (
@@ -71,19 +70,15 @@ def monomial(weights: dict, matching: Iterable[str]) -> Fraction:
 def measure(graph: PlabicGraph, weights: dict) -> PlueckerVector:
     """Partition functions D_I as a total Plucker vector.
 
-    On a reduced graph they are the scaled maximal minors of the path-sum
-    matrix of the acyclic perfect orientation that the matching with the
-    Gale-minimal boundary defines (``boundary_measurement_matrix``), in
-    polynomial time.  A graph that is not reduced need not have such an
-    orientation, so there the monomials are summed over every matching, in
-    exponential time.
+    On a reduced graph with k >= 1 they are the maximal minors of the point
+    ``boundary_measurement_matrix`` builds from path sums, in polynomial
+    time.  A graph that is not reduced need not have the acyclic orientation
+    those sums run on, so there, and at k = 0, the monomials are summed over
+    every matching, in exponential time; a reduced graph with k = 0 has one.
     """
     weights = check_weighting(graph, weights)
-    if graph.is_reduced()[0]:
-        matrix, scale = boundary_measurement_matrix(graph, weights)
-        if not matrix.k:  # the one empty minor is 1
-            return PlueckerVector(graph.n, 0, {(): scale})
-        return pluecker(matrix).scaled(scale)
+    if graph.k and graph.is_reduced()[0]:
+        return pluecker(boundary_measurement_matrix(graph, weights))
     coords = {I: Q(0) for I in combinations(range(1, graph.n + 1), graph.k)}
     matchings = enumerate_matchings(graph)
     if not matchings:
@@ -133,10 +128,8 @@ def _orient(graph: PlabicGraph) -> _Orientation:
     return _Orientation(m0, steps, sources, negate)
 
 
-def boundary_measurement_matrix(
-    graph: PlabicGraph, weights: dict
-) -> tuple[RationalMatrix, Fraction]:
-    """(A, scale) with D_I = scale * Delta_I(A) for every k-subset I.
+def boundary_measurement_matrix(graph: PlabicGraph, weights: dict) -> RationalMatrix:
+    """The point A of the measurement: D_I = Delta_I(A) for every k-subset I.
 
     Postnikov's path sums (math/0609764) on a perfect orientation of a
     reduced graph.  The maximal matching M0 of the boundary face at n (its
@@ -146,12 +139,14 @@ def boundary_measurement_matrix(
     to white, all others from white to black) has no directed cycle, which
     would be an alternating cycle giving a second matching with boundary
     I_O.  Its sources are I_O.  A path's weight is the product of z_e off M0
-    and 1/z_e on M0; row r of A holds the identity in the source columns and
-    (-1)^{#sources strictly between i_r and j} times the sum of the paths
-    from source i_r to sink j elsewhere.  The orientation, its topological
-    order and the signs depend on the graph alone and are built once; each
-    call runs only the path sums, in O(k E) for E edges.  scale is the
-    monomial of M0; for k = 0 the matrix has no rows.
+    and 1/z_e on M0; row r of the path-sum matrix holds the identity in the
+    source columns and (-1)^{#sources strictly between i_r and j} times the
+    sum of the paths from source i_r to sink j elsewhere.  Its minors are
+    D_I over D_{I_O}, the monomial of M0, so A is that matrix with its
+    first row times D_{I_O}: the normal form of ``matrix_from_pluecker``, which pivots
+    on I_O.  The orientation, its topological order and the signs depend on
+    the graph alone and are built once; each call runs only the path sums,
+    in O(k E) for E edges.  At k = 0 the point has no rows, and this raises.
 
     The sums run on reduced integer pairs (numerator, denominator): a
     product cancels across as Fraction's own does, with two gcds, and a sum
@@ -160,6 +155,8 @@ def boundary_measurement_matrix(
     identities hold all the same.  Each column of A is built from its pairs
     with one lcm and one gcd, which also makes its scale positive.
     """
+    if not graph.k:
+        raise PreconditionError("k = 0: the point has no rows")
     weights = check_weighting(graph, weights)
     plan = graph._memo("orientation", lambda: _orient(graph))
     steps = []
@@ -200,7 +197,9 @@ def boundary_measurement_matrix(
                 num, den = paths.get(j, (0, 1))
                 row.append((-num if odd else num, den))
         rows.append(row)
-    return RationalMatrix.of_ratios(len(rows), zip(*rows)), monomial(weights, plan.m0)
+    p, q = monomial(weights, plan.m0).as_integer_ratio()
+    rows[0] = [(num * p, den * q) for num, den in rows[0]]
+    return RationalMatrix.of_ratios(len(rows), zip(*rows))
 
 
 def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
@@ -212,23 +211,22 @@ def gauge_apply(graph: PlabicGraph, weights: dict, gauge: dict) -> dict:
             continue
         value = as_fraction(value)
         for e in graph.incident(x):
-            for end in graph.edges[e]:  # twice on a loop
-                if end == x:
-                    out[e] *= value
+            out[e] *= value
     return out
 
 
 def matrix_from_pluecker(p: PlueckerVector) -> RationalMatrix:
     """A k x n matrix whose maximal minors reproduce the vector exactly.
 
-    Pivot on the Gale-minimal basis at position 1 of the support; entries are
-    ratios of Pluckers with one row rescaled to fix the global scale.  The
-    construction is verified before returning.
+    Pivot on the lexicographically first subset of the support, which for a
+    matroid is its Gale-minimal basis; entries are ratios of Pluckers with
+    one row rescaled to fix the global scale.  The construction is verified
+    before returning, so a vector off the Plucker relations raises.
     """
     support = p.support()
     if not support:
         raise PreconditionError("all Plucker coordinates are zero")
-    pivot = gale_min(support, 1, p.n)
+    pivot = support[0]
     scale = p[pivot]
     rows = []
     for r, i_r in enumerate(pivot):
@@ -271,14 +269,14 @@ def monomial_map(graph: PlabicGraph, weights: dict, direction: str) -> dict:
     return out
 
 
-def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
-    """Inverse of the monomial map, as (weights, gauge note).
+def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str) -> dict:
+    """Inverse of the monomial map: an edge weighting.
 
     The raw inverse weights an edge by the reciprocal of the face coordinates
     in its column of the boundary matrix ∂ of the chosen wedge direction; a
-    single gauge factor prod_f x_f^{B_f - 1} applied at one recorded vertex
-    restores the correct class, so every matching monomial is exact.  ∂ and
-    the counts B_f depend on the graph alone and are built once per
+    single gauge factor prod_f x_f^{B_f - 1} applied at the least internal
+    vertex restores the correct class, so every matching monomial is exact.
+    ∂ and the counts B_f depend on the graph alone and are built once per
     direction (``matchings.boundary_matrix``).  With x_f = p_f / q_f, an
     edge weight is one Fraction of the products of the q's and of the p's,
     and the gauge value one of two integer products.
@@ -296,10 +294,7 @@ def boundary_partial(graph: PlabicGraph, face_vector: dict, direction: str):
     # every face of a reduced graph has B_f >= 1 directly-downstream edges
     num = prod(x[fid][0] ** (len(h) - 1) for fid, h in plan.halves.items())
     den = prod(x[fid][1] ** (len(h) - 1) for fid, h in plan.halves.items())
-    gauge_value = Fraction(num, den)
-    vertex = min(graph.colors)
-    weights = gauge_apply(graph, weights, {vertex: gauge_value})
-    return weights, {"vertex": vertex, "factor": gauge_value}
+    return gauge_apply(graph, weights, {min(graph.colors): Fraction(num, den)})
 
 
 def gauge_fix(graph: PlabicGraph, weights: dict, targets: dict) -> dict:
@@ -403,15 +398,6 @@ def random_weighting(graph: PlabicGraph, rng: random.Random) -> dict:
     }
 
 
-def _scaled(network: tuple[RationalMatrix, Fraction]) -> RationalMatrix:
-    """The path-sum matrix with its first row times the scale: its maximal
-    minors are the measurement."""
-    matrix, scale = network
-    p, q = scale.as_integer_ratio()
-    columns = ([(c[0] * p, d * q)] + [(x, d) for x in c[1:]] for c, d in zip(matrix.columns, matrix.scales))
-    return RationalMatrix.of_ratios(matrix.k, columns)
-
-
 def _outcome(check: str, trial: int, z: dict, failure) -> dict:
     """A report entry; a failure adds the weighting and the failure's details."""
     entry = {"check": check, "trial": trial, "status": "pass"}
@@ -447,14 +433,14 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     random twisted Pluckers.  Failures are reported, not raised: a failed
     entry carries the weighting, and a failed square also its first face,
     that face's label and the expected and actual values; a failed
-    inversion the first entry of the scaled matrix that differs; a failed
-    Laurent check both values.
+    inversion the first entry of the point that differs; a failed Laurent
+    check both values.
 
-    The point is the path-sum matrix with its first row times the scale, so
-    its minors are the measurement; the face maps read minors of it and its
-    twists.  The weights of the inverse monomial map at its source-label
-    face values multiply over each matching to that matching's Laurent
-    term, so the term sum at J is their measurement at J, from path sums.
+    The point is ``boundary_measurement_matrix``, whose minors are the
+    measurement; the face maps read minors of it and its twists.  The
+    weights of the inverse monomial map at its source-label face values
+    multiply over each matching to that matching's Laurent term, so the term
+    sum at J is the minor at J of their point.
     Each J is drawn from the graph's positroid: at positive weights its
     twisted coordinate cannot vanish, so a zero is a broken invariant.  No
     matching is listed: the term list of ``twisted_pluecker_laurent``
@@ -464,15 +450,12 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     graph.require_reduced()
-    if graph.k == 0:
-        raise PreconditionError("k = 0: the point has no matrix to twist")
     bases = graph_positroid(graph).bases
     rng = random.Random(seed)
     report = []
     for trial in range(trials):
         z = random_weighting(graph, rng)
-        network = boundary_measurement_matrix(graph, z)
-        A = _scaled(network)
+        A = boundary_measurement_matrix(graph, z)
         right = twist(A, "right")
         left = twist(A, "left")
 
@@ -484,19 +467,17 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
         failure = _square_failure(graph.face_labels("target"), got, monomial_map(graph, z, "max"))
         report.append(_outcome("left-square", trial, z, failure))
 
-        # equal (matrix, scale) pairs are equal measurements, which on a
-        # reduced graph means equal monomials on every matching: the
-        # measurement is injective on gauge classes
-        recovered, _ = boundary_partial(graph, right_source, "min")
-        again = boundary_measurement_matrix(graph, recovered)
-        failure = None if again == network else _entry_failure(A, _scaled(again))
+        # equal points are equal measurements, which on a reduced graph
+        # means equal monomials on every matching: the measurement is
+        # injective on gauge classes
+        again = boundary_measurement_matrix(graph, boundary_partial(graph, right_source, "min"))
+        failure = None if again == A else _entry_failure(A, again)
         report.append(_outcome("inversion", trial, z, failure))
 
-        laurent, _ = boundary_partial(graph, face_pluecker(graph, A, "source"), "min")
-        B, t = boundary_measurement_matrix(graph, laurent)
+        B = boundary_measurement_matrix(graph, boundary_partial(graph, face_pluecker(graph, A, "source"), "min"))
         picks = [bases[rng.randrange(len(bases))] for _ in range(3)]
         for J in picks:
-            want, got = minor(left, J), t * minor(B, J)
+            want, got = minor(left, J), minor(B, J)
             if want == 0:  # 0 = 0 would check nothing
                 raise AssertionError(f"twisted Plucker coordinate at {J} vanishes at positive weights")
             failure = None if want == got else {"expected": str(want), "actual": str(got)}

@@ -871,6 +871,20 @@ def test_equal_values_give_equal_matrices():
     assert (empty.k, empty.n, empty.rows) == (0, 0, ())
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 2], []]])
+def test_ragged_rows_raise_in_both_constructors(rows):
+    for construct in (RationalMatrix, RationalMatrix.build):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            construct(rows)
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], []]])
+def test_build_refuses_an_empty_matrix(rows):
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        RationalMatrix.build(rows)
+    assert RationalMatrix(rows).n == 0
+
+
 # -- reference: the Fraction rows whose columns every kernel call cleared of
 # denominators again, on the same elimination kernel --
 

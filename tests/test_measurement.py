@@ -134,6 +134,10 @@ def test_matrix_from_pluecker_rejects_bad_vector():
         matrix_from_pluecker(PlueckerVector(6, 3, coords))
     with pytest.raises(PreconditionError):
         matrix_from_pluecker(PlueckerVector(6, 3, {I: Q(0) for I in coords}))
+    # a support with no Gale minimum at position 1: 14 and 23 are incomparable
+    coords = {I: Q(int(I in ((1, 4), (2, 3)))) for I in combinations(range(1, 5), 2)}
+    with pytest.raises(PreconditionError, match="Plucker relations"):
+        matrix_from_pluecker(PlueckerVector(4, 2, coords))
 
 
 def test_face_pluecker_all_ones(square4):
@@ -169,9 +173,8 @@ def test_monomial_map_matches_twisted_face_pluecker(schubert36):
 
 def test_boundary_partial_identity(square4):
     ones = {f.id: Q(1) for f in square4.faces()}
-    z, note = boundary_partial(square4, ones, "min")
+    z = boundary_partial(square4, ones, "min")
     assert all(v == 1 for v in z.values())
-    assert note["factor"] == 1
 
 
 def test_boundary_partial_round_trip(square4, schubert36, d4):
@@ -179,16 +182,15 @@ def test_boundary_partial_round_trip(square4, schubert36, d4):
     for g in (square4, schubert36, d4):
         x = {f.id: Q(rng.randint(1, 60), rng.randint(1, 60)) for f in g.faces()}
         for direction in ("min", "max"):
-            z, _ = boundary_partial(g, x, direction)
+            z = boundary_partial(g, x, direction)
             assert monomial_map(g, z, direction) == x
 
 
 def test_boundary_partial_square4_internal_coordinate(square4):
     x = {f.id: Q(1) for f in square4.faces()}
     x["f1"] = Q(7)
-    z, note = boundary_partial(square4, x, "min")
+    z = boundary_partial(square4, x, "min")
     assert monomial_map(square4, z, "min") == x
-    assert note["factor"] == Q(7) ** (2 - 1)
 
 
 def test_double_twist_on_face_vectors(square4, schubert36):
@@ -196,7 +198,7 @@ def test_double_twist_on_face_vectors(square4, schubert36):
     rng = random.Random(23)
     for g in (square4, schubert36):
         x = {f.id: Q(rng.randint(1, 50), rng.randint(1, 50)) for f in g.faces()}
-        z, _ = boundary_partial(g, x, "max")
+        z = boundary_partial(g, x, "max")
         got = monomial_map(g, z, "min")
         src = g.face_labels("source")
         for f in g.faces():
@@ -339,12 +341,17 @@ def enumerative_measure(graph, weights):
 def assert_measure_matches_enumeration(graph, weights):
     p = measure(graph, weights)
     assert p == enumerative_measure(graph, weights)
-    A, scale = boundary_measurement_matrix(graph, weights)
+    if not graph.k:  # the point has no rows: measure enumerates the one matching
+        with pytest.raises(PreconditionError, match="^k = 0"):
+            boundary_measurement_matrix(graph, weights)
+        return
+    # the identity on the sources, but for D at the sources in row 1
+    A = boundary_measurement_matrix(graph, weights)
     sources = gale_min(p.support(), 1, graph.n)
-    assert scale == p[sources]
-    assert minor(A, sources) == 1
     for r, i in enumerate(sources):
-        assert [row[i - 1] for row in A.rows] == [Q(int(r == s)) for s in range(len(sources))]
+        column = [Q(int(r == s)) for s in range(len(sources))]
+        column[0] *= p[sources]
+        assert [row[i - 1] for row in A.rows] == column
 
 
 @pytest.mark.parametrize("name", sorted(set(fixtures.NAMES) - {"tri6"}))
@@ -363,7 +370,7 @@ def test_measure_matches_enumeration_on_small_cells():
             g = synthesize(pi)
             assert_measure_matches_enumeration(g, random_weighting(g, rng))
             ks.add((pi.k, n))
-    # the k = 0 cells measure to {(): scale}, from a matrix with no rows
+    # the k = 0 cells measure to {(): the monomial of their one matching}
     assert {(0, n) for n in range(1, 6)} | {(n, n) for n in range(1, 6)} <= ks
 
 
@@ -401,9 +408,9 @@ def first_difference(want, got):
 
 def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
     def broken(graph, face_vector, direction):
-        weights, note = boundary_partial(graph, face_vector, direction)
+        weights = boundary_partial(graph, face_vector, direction)
         # not a gauge transform: one internal edge alone doubles
-        return {**weights, "bd": 2 * weights["bd"]}, note
+        return {**weights, "bd": 2 * weights["bd"]}
 
     monkeypatch.setattr(measurement, "boundary_partial", broken)
     # no boundary seed 7 picks has a matching through bd; 3678 and 3468 at seed 0 do
@@ -413,11 +420,11 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
         assert [r["status"] for r in inversions] == ["fail", "fail"]
         assert all(set(r["witness"]) == set(d4.edges) for r in inversions)
         for r in inversions:
-            # the first entry of the scaled matrix that the inverse does not recover
+            # the first entry of the point that the inverse does not recover
             z = {e: Q(v) for e, v in r["witness"].items()}
-            A = scaled_network_matrix(d4, z)
-            recovered, _ = broken(d4, face_pluecker(d4, twist(A, "right"), "source"), "min")
-            again = scaled_network_matrix(d4, recovered)
+            A = boundary_measurement_matrix(d4, z)
+            recovered = broken(d4, face_pluecker(d4, twist(A, "right"), "source"), "min")
+            again = boundary_measurement_matrix(d4, recovered)
             r_, c_ = r["entry"]
             assert r["entry"] == first_difference(A, again)
             assert (r["expected"], r["actual"]) == (str(A.rows[r_ - 1][c_ - 1]), str(again.rows[r_ - 1][c_ - 1]))
@@ -431,10 +438,10 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
             if uses_bd:
                 # Delta_J of the left twist, and the term sum of the broken weights
                 z = {e: Q(v) for e, v in r["witness"].items()}
-                A = scaled_network_matrix(d4, z)
-                B, t = boundary_measurement_matrix(d4, broken(d4, face_pluecker(d4, A, "source"), "min")[0])
+                A = boundary_measurement_matrix(d4, z)
+                B = boundary_measurement_matrix(d4, broken(d4, face_pluecker(d4, A, "source"), "min"))
                 assert r["expected"] == str(minor(twist(A, "left"), J))
-                assert r["actual"] == str(t * minor(B, J)) != r["expected"]
+                assert r["actual"] == str(minor(B, J)) != r["expected"]
             else:
                 assert "expected" not in r and "witness" not in r
         assert any(r["status"] == "fail" for r in laurent) == (seed == 0)
@@ -456,7 +463,7 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
     right, left = verify_diagram(d4, seed=7, trials=1)[:2]
     assert right == {"check": "right-square", "trial": 0, "status": "pass"}
     z = {e: Q(v) for e, v in left["witness"].items()}
-    value = face_pluecker(d4, twist(scaled_network_matrix(d4, z), "left"), "target")[third]
+    value = face_pluecker(d4, twist(boundary_measurement_matrix(d4, z), "left"), "target")[third]
     assert value == monomial_map(d4, z, "max")[third]
     assert left["status"] == "fail"
     assert (left["face"], left["label"]) == (third, list(d4.face_labels("target")[third]))
@@ -517,20 +524,15 @@ def test_factorization_takes_no_pluecker_vector(monkeypatch):
     assert calls == {"pluecker": [], "matrix_from_pluecker": []}
 
 
-def scaled_network_matrix(graph, weights):
-    matrix, scale = boundary_measurement_matrix(graph, weights)
-    return RationalMatrix.build([[scale * x for x in matrix.rows[0]], *matrix.rows[1:]])
-
-
 def assert_verify_identities(graph, weights, subsets=None):
     """The identities verify_diagram rests on, each against its oracle:
-    (a) the scaled network matrix is matrix_from_pluecker of the measurement;
+    (a) the point of the path sums is matrix_from_pluecker of the measurement;
     (b) face_pluecker reads the full Plucker vector at the labels, for the
-    point and both twists; (c) at each J, t * Delta_J(B) for the path sums B
-    of the inverse monomial map's weights is the sum of the matching terms of
-    the Laurent formula and Delta_J of the left twist."""
+    point and both twists; (c) at each J, Delta_J(B) for the point B of the
+    inverse monomial map's weights is the sum of the matching terms of the
+    Laurent formula and Delta_J of the left twist."""
     p = measure(graph, weights)
-    A = scaled_network_matrix(graph, weights)
+    A = boundary_measurement_matrix(graph, weights)
     assert A == matrix_from_pluecker(p)
     right, left = twist(A, "right"), twist(A, "left")
     for point, mode in ((A, "source"), (right, "source"), (left, "target")):
@@ -538,10 +540,10 @@ def assert_verify_identities(graph, weights, subsets=None):
         labels = graph.face_labels(mode)
         assert face_pluecker(graph, point, mode) == {f: coords[l] for f, l in labels.items()}
     x = face_pluecker(graph, A, "source")
-    B, t = boundary_measurement_matrix(graph, boundary_partial(graph, x, "min")[0])
+    B = boundary_measurement_matrix(graph, boundary_partial(graph, x, "min"))
     for J in p.support() if subsets is None else subsets:
         total = sum((term.evaluate(x) for term in twisted_pluecker_laurent(graph, J)), Q(0))
-        assert t * minor(B, J) == total == minor(left, J), J
+        assert minor(B, J) == total == minor(left, J), J
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.NAMES))
@@ -566,7 +568,8 @@ def test_verify_identities_on_small_cells():
 
 def oracle_boundary_measurement_matrix(graph, weights):
     """The per-call orientation: M0 by the per-face scan, then the arcs, the
-    topological order and the signs, all rebuilt for every weighting."""
+    topological order and the signs, all rebuilt for every weighting; row 1
+    of the Fraction path sums times the monomial of M0."""
     m0 = oracle_extremal_matching(graph, graph.boundary_face(graph.n).id, "max")
     arcs = {v: [] for v in [*graph.colors, *graph.boundary_vertices()]}
     indegree = dict.fromkeys(arcs, 0)
@@ -603,8 +606,8 @@ def oracle_boundary_measurement_matrix(graph, weights):
                 between = sum(1 for s in sources if min(source, j) < s < max(source, j))
                 row.append((-1) ** between * paths.get(j, Q(0)))
         rows.append(row)
-    matrix = RationalMatrix.build(rows) if rows else RationalMatrix(())
-    return matrix, monomial(weights, m0)
+    rows[0] = [monomial(weights, m0) * x for x in rows[0]]
+    return RationalMatrix.build(rows)
 
 
 def signed(weights, rng):
@@ -621,6 +624,21 @@ def test_measure_matches_enumeration_at_signed_weights():
             assert_measure_matches_enumeration(g, signed(random_weighting(g, rng), rng))
 
 
+def test_boundary_measurement_matrix_is_the_normal_form_of_its_measurement():
+    # the identity on the sources but for D at the sources in row 1, at
+    # positive weights and at signed ones, whose minors may cancel; a k = 0
+    # cell has no point and measures its one matching
+    rng = random.Random(49)
+    cells = (synthesize(pi) for n in range(1, 6) for pi in all_bounded_affine(n))
+    for g in (*map(fixtures.load, sorted(fixtures.NAMES)), *cells):
+        z = random_weighting(g, rng)
+        for w in (z, signed(z, rng)):
+            if g.k:
+                assert boundary_measurement_matrix(g, w) == matrix_from_pluecker(measure(g, w))
+            else:
+                assert measure(g, w) == enumerative_measure(g, w)
+
+
 def test_boundary_measurement_matrix_matches_the_per_call_orientation():
     # Fraction path sums at random weights, at signed ones, whose paths mix
     # signs, and at the inverse monomial map's weights, which carry a large
@@ -628,15 +646,14 @@ def test_boundary_measurement_matrix_matches_the_per_call_orientation():
     rng = random.Random(41)
     count = 0
     for g in plan_graphs():
+        if not g.k:  # the point has no rows
+            continue
         z = random_weighting(g, rng)
-        weightings = [z, signed(z, rng)]
-        if g.k:
-            x = face_pluecker(g, scaled_network_matrix(g, z), "source")
-            weightings.append(boundary_partial(g, x, "min")[0])
-        for w in weightings:
+        x = face_pluecker(g, boundary_measurement_matrix(g, z), "source")
+        for w in (z, signed(z, rng), boundary_partial(g, x, "min")):
             assert boundary_measurement_matrix(g, w) == oracle_boundary_measurement_matrix(g, w)
         count += 1
-    assert count == 6 + 414 + 5
+    assert count == 6 + 409 + 5
 
 
 def oracle_monomial_map(graph, weights, direction):
@@ -654,8 +671,7 @@ def oracle_boundary_partial(graph, face_vector, direction):
     plan = matchings.boundary_matrix(graph, direction)
     weights = {e: 1 / x[f[0]] if len(f) == 1 else 1 / (x[f[0]] * x[f[1]]) for e, f in plan.divisors.items()}
     gauge_value = prod((x[fid] ** (len(h) - 1) for fid, h in plan.halves.items() if len(h) != 1), start=Q(1))
-    vertex = min(graph.colors)
-    return gauge_apply(graph, weights, {vertex: gauge_value}), {"vertex": vertex, "factor": gauge_value}
+    return gauge_apply(graph, weights, {min(graph.colors): gauge_value})
 
 
 def test_monomial_and_inverse_maps_match_their_fraction_formulas():
@@ -675,7 +691,7 @@ def test_positroid_is_the_support_of_the_pluecker_vector():
     vanishing = 0
     for g in plan_graphs():
         if g.k:
-            support = pluecker(scaled_network_matrix(g, random_weighting(g, rng))).support()
+            support = pluecker(boundary_measurement_matrix(g, random_weighting(g, rng))).support()
             assert support == sorted(graph_positroid(g).bases)
             # a minor vanishes exactly below the top cell
             below_top = length(g.trip_permutation()) > 0
@@ -713,7 +729,7 @@ def test_verify_builds_each_graph_plan_once(monkeypatch, capsys):
     # the three Laurent picks of each trial, on two matrices each
     assert len(calls["minor"]) == 3 * 2 * 2
     g = fixtures.load("d4")
-    face_pluecker(g, scaled_network_matrix(g, random_weighting(g, random.Random(5))), "source")
+    face_pluecker(g, boundary_measurement_matrix(g, random_weighting(g, random.Random(5))), "source")
     assert len(calls["minor"]) == 3 * 2 * 2
 
 
@@ -734,6 +750,6 @@ def test_twists_invert_each_other_on_path_sums(n, rng):
     pi = random_bounded_affine(n, rng)
     assume(pi.k >= 1)
     g = synthesize(pi)
-    A, _ = boundary_measurement_matrix(g, random_weighting(g, rng))
+    A = boundary_measurement_matrix(g, random_weighting(g, rng))
     assert twist(twist(A, "right"), "left") == A, pi.values
     assert twist(twist(A, "left"), "right") == A, pi.values

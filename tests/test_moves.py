@@ -117,7 +117,7 @@ def test_urban_renewal_is_the_exchange_relation():
     rng = random.Random(36)
     squares = 0
     for g in exchange_graphs():
-        A, _ = boundary_measurement_matrix(g, random_weighting(g, rng))
+        A = boundary_measurement_matrix(g, random_weighting(g, rng))
         labels = g.face_labels("source")
         for f in g.faces():
             if f.kind != "internal" or len(f.edges) != 4 or len(set(f.edges)) != 4:
