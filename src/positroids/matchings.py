@@ -13,7 +13,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import Positroid, necklace_from_bases, necklace_from_perm, positroid_from_necklace
 from .errors import PreconditionError
-from .linalg import RationalMatrix, matmul
 from .plabic import PlabicGraph
 
 
@@ -158,26 +157,21 @@ class IncidenceData:
     b: dict  # face id -> number of edges with that face directly downstream
 
     def block_products_are_identity(self) -> bool:
-        E = len(self.edge_order)
-        F = len(self.face_order)
-        V = len(self.vertex_order)
-        # first block matrix: rows (F then V), columns (1 then E)
-        left = [
-            [1 - self.b[self.face_order[i]]] + [-self.d_fe[i][j] for j in range(E)]
-            for i in range(F)
-        ] + [[1] + [self.d_ve[i][j] for j in range(E)] for i in range(V)]
-        right = [[1] * F + [1] * V] + [
-            [-self.u_ef[j][i] for i in range(F)] + [-self.u_ev[j][i] for i in range(V)]
-            for j in range(E)
-        ]
-        left, right = RationalMatrix.build(left), RationalMatrix.build(right)
+        # rows (faces then vertices), columns (1 then edges)
+        left = [[1 - self.b[fid]] + [-x for x in row] for fid, row in zip(self.face_order, self.d_fe)]
+        left += [[1, *row] for row in self.d_ve]
+        # rows (1 then edges), columns (faces then vertices)
+        right = [[1] * len(left)] + [[-x for x in fs + vs] for fs, vs in zip(self.u_ef, self.u_ev)]
 
-        def is_identity(M):
+        def is_identity(a, b):
+            columns = list(zip(*b))
             return all(
-                x == (1 if i == j else 0) for i, row in enumerate(M.rows) for j, x in enumerate(row)
+                sum(x * y for x, y in zip(row, col)) == int(i == j)
+                for i, row in enumerate(a)
+                for j, col in enumerate(columns)
             )
 
-        return is_identity(matmul(right, left)) and is_identity(matmul(left, right))
+        return is_identity(right, left) and is_identity(left, right)
 
 
 def incidence_data(graph: PlabicGraph) -> IncidenceData:
@@ -247,14 +241,14 @@ def face_exponents(graph: PlabicGraph, matching: Iterable[str]) -> dict:
     return {fid: hits[fid] - (len(half) - 1) for fid, half in plan.halves.items()}
 
 
-def _swivelable(graph: PlabicGraph, matching: frozenset, face) -> Optional[frozenset]:
-    boundary_edges = set(face.edges)
-    inside = matching & boundary_edges
-    if len(boundary_edges) != len(face.walk) or face.kind != "internal":
+def _flip(matching: frozenset, face) -> Optional[frozenset]:
+    """The matching with its half of the face's edges traded for the other
+    half, or None when it holds some other share of them."""
+    edges = frozenset(face.edges)
+    inside = matching & edges
+    if 2 * len(inside) != len(edges):
         return None
-    if 2 * len(inside) != len(boundary_edges):
-        return None
-    return frozenset((matching - inside) | (boundary_edges - inside))
+    return frozenset((matching - inside) | (edges - inside))
 
 
 def swivel(graph: PlabicGraph, matching: frozenset, face_id: str, direction: str) -> frozenset:
@@ -266,7 +260,7 @@ def swivel(graph: PlabicGraph, matching: frozenset, face_id: str, direction: str
     face = graph.face_by_id(face_id)
     if face.kind != "internal":
         raise ValueError(f"face {face_id} is not internal")
-    result = _swivelable(graph, matching, face)
+    result = _flip(matching, face)
     if result is None:
         raise ValueError(f"matching holds fewer than half the edges of {face_id}")
     down_half = boundary_matrix(graph, "min").halves[face_id]
@@ -280,20 +274,19 @@ def swivel(graph: PlabicGraph, matching: frozenset, face_id: str, direction: str
 
 @dataclass
 class MatchingPoset:
-    """Swivel lattice of the matchings with a fixed boundary."""
+    """Swivel lattice of the matchings with a fixed boundary.  Every query
+    reads the up-sets, which one search per node builds, or the down-sets,
+    their transpose."""
 
     boundary: tuple
     nodes: list  # frozensets, deterministic order
     covers: list  # (lower index, upper index, face id)
 
-    def index(self, matching: frozenset) -> int:
-        return self.nodes.index(matching)
-
     def __post_init__(self):
         up = [set() for _ in self.nodes]
         for lo, hi, _ in self.covers:
             up[lo].add(hi)
-        # transitive closure by BFS: for each node, the nodes above or equal to it
+        # each node's up-set: itself and every node above it
         self._closure = []
         for i in range(len(self.nodes)):
             seen = {i}
@@ -305,38 +298,29 @@ class MatchingPoset:
                         seen.add(y)
                         stack.append(y)
             self._closure.append(seen)
+        self._below = [set() for _ in self.nodes]
+        for x, above in enumerate(self._closure):
+            for y in above:
+                self._below[y].add(x)
+
+    def _holding_all(self, cones: list, members: set, what: str) -> int:
+        """The member whose cone holds every member."""
+        found = [x for x in members if members <= cones[x]]
+        if len(found) != 1:
+            raise AssertionError(f"{what} is not unique")
+        return found[0]
 
     def minimum(self) -> frozenset:
-        uppers = {hi for _, hi, _ in self.covers}
-        mins = [i for i in range(len(self.nodes)) if i not in uppers]
-        if len(mins) != 1:
-            raise AssertionError(f"poset has {len(mins)} minimal elements")
-        return self.nodes[mins[0]]
+        return self.nodes[self._holding_all(self._closure, set(range(len(self.nodes))), "minimum")]
 
     def maximum(self) -> frozenset:
-        lowers = {lo for lo, _, _ in self.covers}
-        maxs = [i for i in range(len(self.nodes)) if i not in lowers]
-        if len(maxs) != 1:
-            raise AssertionError(f"poset has {len(maxs)} maximal elements")
-        return self.nodes[maxs[0]]
+        return self.nodes[self._holding_all(self._below, set(range(len(self.nodes))), "maximum")]
 
     def meet(self, i: int, j: int) -> int:
-        above = self._closure
-        below_i = {x for x in range(len(self.nodes)) if i in above[x]}
-        below_j = {x for x in range(len(self.nodes)) if j in above[x]}
-        commons = below_i & below_j
-        tops = [x for x in commons if not any(y != x and y in above[x] for y in commons)]
-        if len(tops) != 1:
-            raise AssertionError("meet is not unique")
-        return tops[0]
+        return self._holding_all(self._below, self._below[i] & self._below[j], "meet")
 
     def join(self, i: int, j: int) -> int:
-        above = self._closure
-        commons = above[i] & above[j]
-        bottoms = [x for x in commons if not any(y != x and x in above[y] for y in commons)]
-        if len(bottoms) != 1:
-            raise AssertionError("join is not unique")
-        return bottoms[0]
+        return self._holding_all(self._closure, self._closure[i] & self._closure[j], "join")
 
     def is_lattice(self) -> bool:
         for i in range(len(self.nodes)):
@@ -345,16 +329,9 @@ class MatchingPoset:
                 self.join(i, j)
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "boundary": list(self.boundary),
-            "nodes": [sorted(m) for m in self.nodes],
-            "covers": [[lo, hi, fid] for lo, hi, fid in self.covers],
-        }
-
 
 def matching_poset(graph: PlabicGraph, boundary: Sequence[int]) -> MatchingPoset:
-    """BFS over swivels from the matchings with the given boundary."""
+    """The matchings with the given boundary, each covered by its swivels up."""
     boundary = tuple(sorted(boundary))
     nodes = enumerate_matchings(graph, boundary)
     if not nodes:
@@ -365,24 +342,10 @@ def matching_poset(graph: PlabicGraph, boundary: Sequence[int]) -> MatchingPoset
     halves = boundary_matrix(graph, "min").halves
     for m in nodes:
         for f in internal:
-            flipped = _swivelable(graph, m, f)
-            if flipped is None:
-                continue
-            if set(m) & set(f.edges) == halves[f.id]:
+            flipped = _flip(m, f)
+            if flipped is not None and m & set(f.edges) == halves[f.id]:
                 covers.append((index[m], index[flipped], f.id))
-    # connectivity check
-    seen = {0}
-    stack = [0]
-    adj = {i: set() for i in range(len(nodes))}
-    for lo, hi, _ in covers:
-        adj[lo].add(hi)
-        adj[hi].add(lo)
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(nodes):
-        raise AssertionError("swivel graph is disconnected")
-    return MatchingPoset(boundary, nodes, covers)
+    poset = MatchingPoset(boundary, nodes, covers)
+    # the swivels connect the matchings: one lies below all the others
+    poset.minimum()
+    return poset

@@ -351,14 +351,12 @@ class _Draft:
         # replace each corner's adjacent pair of square edges by its spoke
         for idx, v in enumerate(corners):
             rot = self.rotations[v]
-            p_in, p_out = rot.index(old[idx]), rot.index(old[(idx + 1) % 4])
-            if (p_in + 1) % len(rot) == p_out:
-                first = p_in
-            elif (p_out + 1) % len(rot) == p_in:
-                first = p_out
-            else:
-                raise ValueError(f"square edges not consecutive at corner {v!r}")
-            cycled = rot[first:] + rot[:first]
+            # the face walk leaves each corner along the clockwise successor
+            # of the edge it arrived on
+            p_in = rot.index(old[idx])
+            if rot[(p_in + 1) % len(rot)] != old[(idx + 1) % 4]:
+                raise AssertionError(f"square edges not consecutive at corner {v!r}")
+            cycled = rot[p_in:] + rot[:p_in]
             self.rotations[v] = [spoke[v]] + cycled[2:]
         # new inner square: the edge parallel to old[idx] gets weight b[idx+2]/denom
         new_sq = []

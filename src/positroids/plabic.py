@@ -135,8 +135,8 @@ class PlabicGraph:
         vertices have rotations."""
         payload = json_shape(payload, dict, "a graph")
         n = payload["n"]
-        if type(n) is not int:
-            raise ValueError(f"graph size n must be an integer, got {n!r}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"graph size n must be a positive integer, got {n!r}")
         colors = {}
         for v in json_shape(payload["internal"], list, "internal"):
             v = json_shape(v, dict, "an internal vertex")
@@ -402,15 +402,12 @@ class PlabicGraph:
         return self._memo("reduced", self._check_reduced)
 
     def _check_reduced(self):
-        covered = set()
-        for s in self.strands():
-            for c in s.path:
-                if c in covered:
-                    return False, f"edge {c[0]!r} crossed twice in direction {c[1]!r}"
-                covered.add(c)
-        if len(covered) != 2 * len(self.edges):
+        strands = self.strands()
+        # each crossing follows at most one other and a strand's first follows
+        # none, so the boundary strands never share or repeat a crossing
+        if sum(len(s.path) for s in strands) != 2 * len(self.edges):
             return False, "closed-loop strand (some edge crossing unused by boundary strands)"
-        for s in self.strands():
+        for s in strands:
             seen_edges = {}
             for e, _ in s.path:
                 seen_edges[e] = seen_edges.get(e, 0) + 1
@@ -418,7 +415,6 @@ class PlabicGraph:
             doubled = [e for e, c in seen_edges.items() if c > 1 and e != allowed]
             if doubled:
                 return False, f"strand {s.source}->{s.target} self-crosses at edge {doubled[0]!r}"
-        strands = self.strands()
         crossed = [[e for e, _ in s.path] for s in strands]
         crossed_sets = [set(es) for es in crossed]
         for a in range(len(strands)):

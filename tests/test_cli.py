@@ -337,6 +337,8 @@ MALFORMED = {
     "not-json": (("inspect",), "not json"),
     "float-in-matrix": (("twist", "--right"), json.dumps({"rows": [[1.5, 2], [0, 1]]})),
     "string-n": (("inspect",), square4_with_string_n()),
+    "zero-n": (("inspect",), square4_with("n", 0)),
+    "negative-n": (("inspect",), json.dumps({"n": -1, "internal": [], "edges": [], "rotation": {}})),
     "int-vertex-id": (("inspect",), square4_with_vertex_id(7)),
     "bool-vertex-id": (("verify",), square4_with_vertex_id(True)),
     "list-edge-id": (("inspect",), square4_with("edge", ["x"])),
@@ -396,6 +398,7 @@ MALFORMED = {
 
 # the id that the one-line error must name
 MALFORMED_NAMES = {
+    "negative-n": -1,
     "repeated-edge-id": "s12",
     "ghost-rotation": "ghost",
     "repeated-internal-id": "v1",

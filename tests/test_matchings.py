@@ -10,6 +10,7 @@ from positroids import fixtures
 from positroids.core import BoundedAffinePermutation, necklace_from_bases
 from positroids.errors import PreconditionError
 from positroids.matchings import (
+    MatchingPoset,
     boundary_matrix,
     enumerate_matchings,
     extremal_matching,
@@ -240,16 +241,25 @@ def test_poset_unmatchable(square4):
         matching_poset(square4, (1, 2, 3))
 
 
+def assert_up_swivels_are_acyclic(poset):
+    # each cover goes strictly up: its upper end is in the lower end's
+    # up-set and the lower end is not in the upper end's
+    above = poset._closure
+    for lo, hi, _ in poset.covers:
+        assert hi in above[lo] and lo not in above[hi], (lo, hi)
+
+
 def test_up_swivels_are_acyclic(schubert36, d4):
     # walking up from the minimum must terminate; heights strictly increase
     for g in (schubert36, d4):
-        from positroids.matchings import graph_positroid
-
         for boundary in sorted(graph_positroid(g).bases):
-            poset = matching_poset(g, boundary)
-            above = poset._closure
-            for i in range(len(poset.nodes)):
-                assert all(j != i for j in above[i] - {i})
+            assert_up_swivels_are_acyclic(matching_poset(g, boundary))
+
+
+def test_up_swivel_check_catches_a_two_cycle():
+    poset = MatchingPoset((1,), [frozenset({"x"}), frozenset({"y"})], [(0, 1, "f1"), (1, 0, "f1")])
+    with pytest.raises(AssertionError):
+        assert_up_swivels_are_acyclic(poset)
 
 
 # matchings per boundary, as the exhaustive-rescan propagation found them;

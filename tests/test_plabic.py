@@ -142,6 +142,31 @@ def test_doubled_edge_not_reduced(square4):
     assert witness == "strands 1->4 and 2->3 pass common edges in the same order"
 
 
+def test_closed_loop_not_reduced(square4):
+    # a black vertex joined to v1 by two edges: the strand around that bigon
+    # closes on itself and reaches no boundary vertex
+    rotations = {v: list(r) for v, r in square4.rotations.items()}
+    rotations["v1"] = ["z1", "z2"] + rotations["v1"]
+    rotations["u"] = ["z1", "z2"]
+    g = PlabicGraph(
+        4,
+        {**square4.colors, "u": "black"},
+        {**square4.edges, "z1": ("u", "v1"), "z2": ("u", "v1")},
+        rotations,
+    )
+    assert g.is_reduced() == (False, "closed-loop strand (some edge crossing unused by boundary strands)")
+
+
+def test_self_crossing_not_reduced(schubert36):
+    # a parallel copy of edge b, first in both its ends' rotations, turns
+    # the strand from 1 back across edge p
+    rotations = {v: list(r) for v, r in schubert36.rotations.items()}
+    rotations["b"] = ["zz"] + rotations["b"]
+    rotations["bb"] = ["zz"] + rotations["bb"]
+    g = PlabicGraph(6, dict(schubert36.colors), {**schubert36.edges, "zz": ("b", "bb")}, rotations)
+    assert g.is_reduced() == (False, "strand 1->6 self-crosses at edge 'p'")
+
+
 def test_face_labels_square4(square4):
     src = square4.face_labels("source")
     assert src["f1"] == (2, 4)
