@@ -35,7 +35,10 @@ def load_graph(path: str) -> PlabicGraph:
 def read_json(path: str):
     """The JSON value in the file; an object that repeats a key is malformed
     input, not one whose last value silently wins."""
-    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON too deeply to read") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -128,8 +131,6 @@ def cmd_measure(args) -> None:
 
 def cmd_labels(args) -> None:
     g = load_graph(args.graph)
-    if not g.is_reduced()[0]:
-        raise PreconditionError("face labels need a reduced graph")
     emit({f: list(l) for f, l in g.face_labels(args.mode).items()})
 
 

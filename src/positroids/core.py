@@ -143,11 +143,7 @@ class BoundedAffinePermutation:
     def inverse_value(self, b: int) -> int:
         """pi^{-1}(b); satisfies b - n <= pi^{-1}(b) <= b."""
         n = self.n
-        for a in range(1, n + 1):
-            v = self(a)
-            if (v - b) % n == 0:
-                return a + (b - v)
-        raise AssertionError("unreachable: residues form a permutation")
+        return _inverse_window(self.values)[(b - 1) % n] + n * ((b - 1) // n)
 
     def inverse_window(self) -> tuple[int, ...]:
         """(pi^{-1}(1), ..., pi^{-1}(n)), in one pass over the window."""

@@ -17,23 +17,16 @@ from .plabic import PlabicGraph
 _ESCAPE = json.encoder.encode_basestring_ascii  # the C escaper, where there is one
 
 
-class _NotPlain(Exception):
-    """A value that ``json_text`` leaves to ``json.dumps``."""
-
-
 def json_text(payload) -> str:
     """``json.dumps(payload, indent=1, sort_keys=True)``, byte for byte.
 
     With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python
     encoder.  This writes str-keyed dicts, lists, strings, ints, bools and
     None itself, escaping each string with ``encode_basestring_ascii``, and
-    leaves a payload holding anything else to ``json.dumps``.
+    raises ``TypeError`` on anything else: every payload is plain.
     """
     parts = []
-    try:
-        _write(payload, parts, "\n")
-    except _NotPlain:
-        return json.dumps(payload, indent=1, sort_keys=True)
+    _write(payload, parts, "\n")
     return "".join(parts)
 
 
@@ -61,7 +54,7 @@ def _write(x, parts: list, newline: str) -> None:
         inner, sep = newline + " ", "{"
         for key in sorted(x):
             if type(key) is not str:
-                raise _NotPlain
+                raise TypeError(f"a JSON key must be a str, not {type(key).__name__}")
             parts.append(sep + inner + _ESCAPE(key) + ": ")
             _write(x[key], parts, inner)
             sep = ","
@@ -73,7 +66,7 @@ def _write(x, parts: list, newline: str) -> None:
     elif x is False:
         parts.append("false")
     else:
-        raise _NotPlain
+        raise TypeError(f"{kind.__name__} is not a plain JSON value")
 
 
 def chamber(word) -> PlabicGraph:

@@ -303,14 +303,6 @@ def minors(matrix: RationalMatrix, subsets: Iterable[Sequence[int]]) -> list[Fra
     return out
 
 
-def signed_minor(matrix: RationalMatrix, indices: Sequence[int]) -> Fraction:
-    """Determinant of the columns in an arbitrary order (0 on repeats mod n)."""
-    reduced = [(a - 1) % matrix.n + 1 for a in indices]
-    if len(set(reduced)) != len(reduced):
-        return Q(0)
-    return permutation_sign(reduced) * minor(matrix, sorted(reduced))
-
-
 def permutation_sign(values: Sequence) -> int:
     """Sign of the permutation that sorts distinct values."""
     perm = sorted(range(len(values)), key=lambda i: values[i])
@@ -360,9 +352,6 @@ class PlueckerVector:
 
     def support(self) -> list[tuple[int, ...]]:
         return sorted(I for I, v in self.coords.items() if v != 0)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coords.values())
 
     def to_json(self) -> list:
         return [

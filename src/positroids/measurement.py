@@ -481,5 +481,6 @@ def verify_diagram(graph: PlabicGraph, seed: int = 0, trials: int = 3) -> list[d
             if want == 0:  # 0 = 0 would check nothing
                 raise AssertionError(f"twisted Plucker coordinate at {J} vanishes at positive weights")
             failure = None if want == got else {"expected": str(want), "actual": str(got)}
-            report.append(_outcome(f"laurent-{''.join(map(str, J))}", trial, z, failure))
+            sep = "," if J[-1] >= 10 else ""  # as laurent --J reads J, once bare digits are ambiguous
+            report.append(_outcome(f"laurent-{sep.join(map(str, J))}", trial, z, failure))
     return report

@@ -162,6 +162,8 @@ class PlabicGraph:
                         f"edge {eid!r} end {x!r} is neither an internal id nor in [1, {n}]"
                     )
             edges[eid] = (u, w)
+        if n > len(edges):  # each boundary vertex has its own pendant edge
+            raise ValueError(f"graph size n = {n} exceeds its edge count {len(edges)}")
         rotations = {}
         for v, r in json_shape(payload["rotation"], dict, "rotation").items():
             if v not in colors:

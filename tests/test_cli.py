@@ -339,6 +339,13 @@ MALFORMED = {
     "string-n": (("inspect",), square4_with_string_n()),
     "zero-n": (("inspect",), square4_with("n", 0)),
     "negative-n": (("inspect",), json.dumps({"n": -1, "internal": [], "edges": [], "rotation": {}})),
+    # more boundary vertices than edges; building the graph would take O(n)
+    "huge-n": (("inspect",), json.dumps({"n": 10**9, "internal": [], "edges": [], "rotation": {}})),
+    # deeper than the JSON decoder recurses
+    "deep-nesting": (("inspect",), "[" * 100_000),
+    "deep-nesting-matrix": (("twist", "--right"), "[" * 100_000),
+    "deep-nesting-weights": (("measure", "square4"), "[" * 100_000),
+    "deep-nesting-script": (("move", "square4"), "[" * 100_000),
     "int-vertex-id": (("inspect",), square4_with_vertex_id(7)),
     "bool-vertex-id": (("verify",), square4_with_vertex_id(True)),
     "list-edge-id": (("inspect",), square4_with("edge", ["x"])),
@@ -399,6 +406,7 @@ MALFORMED = {
 # the id that the one-line error must name
 MALFORMED_NAMES = {
     "negative-n": -1,
+    "huge-n": 10**9,
     "repeated-edge-id": "s12",
     "ghost-rotation": "ghost",
     "repeated-internal-id": "v1",
@@ -489,9 +497,11 @@ def test_json_text_matches_json_dumps(payload):
     ids=["float", "tuple", "int-keys", "bool-key", "nan"],
 )
 def test_json_text_falls_back_to_json_dumps(payload):
+    """There is no fallback: json_text refuses a payload that is not plain."""
     from positroids.fixtures import json_text
 
-    assert json_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        json_text(payload)
 
 
 def test_regen_golden_rewrites_the_same_bytes(tmp_path):

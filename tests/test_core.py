@@ -220,10 +220,21 @@ def test_reverse_necklace_from_perm_matches_bases():
         assert Positroid(pos.bases, pos.n, pos.k).reverse_necklace() == rev
 
 
+def inverse_by_search(pi, b):
+    """pi^{-1}(b) from the window position whose value has b's residue."""
+    for a in range(1, pi.n + 1):
+        v = pi(a)
+        if (v - b) % pi.n == 0:
+            return a + (b - v)
+    raise AssertionError("residues form a permutation")
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_inverse_window_matches_inverse_value(n):
     for pi in all_bounded_affine(n):
         assert pi.inverse_window() == tuple(pi.inverse_value(b) for b in range(1, n + 1))
+        for b in range(-n, 2 * n + 1):
+            assert pi.inverse_value(b) == inverse_by_search(pi, b), (pi.values, b)
 
 
 def test_type_consistency():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
 from positroids import chamber, cli, fixtures, linalg, matchings, measurement
-from positroids.core import Positroid, gale_min, length
+from positroids.core import BoundedAffinePermutation, Positroid, gale_min, length
 from positroids.errors import PreconditionError
 from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
 from positroids.matchings import enumerate_matchings, extremal_matching, graph_positroid, matching_boundary
@@ -406,6 +406,13 @@ def first_difference(want, got):
     return None
 
 
+def laurent_subset(check: str) -> tuple:
+    """The subset J a ``laurent-J`` check names: bare digits, or commas once
+    an element has two digits."""
+    text = check.removeprefix("laurent-")
+    return tuple(int(x) for x in (text.split(",") if "," in text else text))
+
+
 def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
     def broken(graph, face_vector, direction):
         weights = boundary_partial(graph, face_vector, direction)
@@ -432,7 +439,7 @@ def test_verify_diagram_reports_a_broken_inversion(monkeypatch, d4):
         # fails exactly when some matching with boundary J uses bd
         laurent = [r for r in report if r["check"].startswith("laurent-")]
         for r in laurent:
-            J = tuple(int(c) for c in r["check"].removeprefix("laurent-"))
+            J = laurent_subset(r["check"])
             uses_bd = any("bd" in m for m in enumerate_matchings(d4, J))
             assert r["status"] == ("fail" if uses_bd else "pass"), (seed, r["check"])
             if uses_bd:
@@ -505,6 +512,18 @@ def test_verify_diagram_never_lists_every_matching(monkeypatch):
     # no Plucker vector is taken
     assert calls["pluecker"] == []
     assert len(calls["positroid_from_necklace"]) == 1
+
+
+def test_laurent_check_names_round_trip_to_their_subsets(monkeypatch):
+    # the Gr(6,12) top cell: each pick is read by two minors, at its subset
+    calls = spy(monkeypatch, "minor")
+    report = verify_diagram(synthesize(BoundedAffinePermutation(tuple(range(7, 19)))), seed=0, trials=2)
+    names = [r["check"] for r in report if r["check"].startswith("laurent-")]
+    picks = [indices for _, indices in calls["minor"][::2]]
+    assert [laurent_subset(name) for name in names] == picks
+    for name, J in zip(names, picks):
+        assert ("," in name) == (J[-1] >= 10), name
+    assert any("," in name for name in names) and not all("," in name for name in names), names
 
 
 def test_verify_refuses_a_pick_whose_twisted_coordinate_vanishes(monkeypatch, capsys):
