@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .core import BoundedAffinePermutation, length
+from .core import BoundedAffinePermutation, ksubset, length
 from .errors import PreconditionError, json_shape
 from .linalg import RationalMatrix, as_fraction, double_twist_mu, twist
 from .matchings import enumerate_matchings, graph_positroid, matching_boundary
@@ -64,11 +64,7 @@ def load_weights(path: str, graph: PlabicGraph) -> dict:
 
 def parse_subset(graph: PlabicGraph, text: str) -> tuple:
     """The sorted subset that the text lists, which must be a k-subset of [n]."""
-    subset = tuple(sorted(int(x) for x in text.split(",") if x.strip()))
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"subset {text!r} repeats an element")
-    if any(not 1 <= i <= graph.n for i in subset):
-        raise ValueError(f"subset {text!r} leaves [1, {graph.n}]")
+    subset = ksubset((int(x) for x in text.split(",") if x.strip()), graph.n)
     if len(subset) != graph.k:
         raise ValueError(f"subset {text!r} has {len(subset)} elements, not k = {graph.k}")
     return subset

@@ -11,9 +11,8 @@ pi(a) = a + n a "white" one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from operator import eq
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 
 def ksubset(members: Iterable[int], n: int) -> tuple[int, ...]:
@@ -71,7 +70,8 @@ def _gale_extreme(bases, a: int, n: int, pick) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GrassmannNecklace:
-    """Sequence I_1, ..., I_n of k-subsets, forward or reverse flavored."""
+    """Sequence I_1, ..., I_n of k-subsets, forward or reverse flavored,
+    checked against the exchange condition when built."""
 
     elements: tuple[tuple[int, ...], ...]
     n: int
@@ -85,6 +85,7 @@ class GrassmannNecklace:
         sizes = {len(e) for e in self.elements}
         if len(sizes) > 1:
             raise ValueError("necklace elements of mixed sizes")
+        self.check()
 
     @property
     def k(self) -> int:
@@ -123,8 +124,6 @@ class BoundedAffinePermutation:
                 raise ValueError(f"pi({a}) = {v} out of range [{a}, {a + n}]")
         if sorted(v % n for v in self.values) != sorted(a % n for a in range(1, n + 1)):
             raise ValueError("window values are not a permutation of residues")
-        if sum(self.values) % n != sum(range(1, n + 1)) % n:
-            raise ValueError("average shift is not an integer")
 
     @property
     def n(self) -> int:
@@ -183,7 +182,6 @@ def perm_from_necklace(neck: GrassmannNecklace) -> BoundedAffinePermutation:
     """
     if neck.direction != "forward":
         raise ValueError("perm_from_necklace expects a forward necklace")
-    neck.check()
     n = neck.n
     values = []
     for a in range(1, n + 1):
@@ -191,10 +189,7 @@ def perm_from_necklace(neck: GrassmannNecklace) -> BoundedAffinePermutation:
         if a not in cur:
             values.append(a)
             continue
-        gained = set(neck.element(a + 1)) - (cur - {a})
-        if len(gained) != 1:
-            raise ValueError(f"necklace step at {a} does not determine pi({a})")
-        residue = gained.pop()
+        (residue,) = set(neck.element(a + 1)) - (cur - {a})
         lift = residue if residue > a else residue + n
         values.append(lift)
     return BoundedAffinePermutation(tuple(values))
@@ -219,34 +214,59 @@ def necklace_from_perm(pi: BoundedAffinePermutation, direction: str = "forward")
 
 @dataclass(frozen=True)
 class Positroid:
-    """A positroid by its bases: one tuple of k-subsets in lexicographic order, as Oh's walk lists them."""
+    """A positroid by its forward necklace.  Its bases, found by Oh's walk,
+    are all k-subsets J with I_a <= J in every shifted Gale order, as one
+    tuple in lexicographic order.  I_a <=_a J holds exactly when every
+    initial interval [a, a+t) of the order from a holds at least as many
+    members of I_a as of J.  Only the intervals that end just before a member
+    of I_a can bind, and of those only the ones holding fewer than t members.
+    The k-subsets are walked in lexicographic order; each is read as a
+    bitmask and tested against the binding intervals by one popcount each.
+    """
 
-    bases: tuple[tuple[int, ...], ...]
-    n: int
-    k: int
-    # the forward necklace, when the positroid was built from it
-    necklace: Optional[GrassmannNecklace] = field(default=None, compare=False, repr=False)
+    necklace: GrassmannNecklace
+    bases: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", tuple(sorted(self.bases)))  # linear on the walk's sorted list
-        if not self.bases:
-            raise ValueError("positroid with no bases")
-        if any(map(eq, self.bases, islice(self.bases, 1, None))):  # once sorted, repeats are adjacent
-            raise ValueError("repeated basis")
-        if any(len(b) != self.k for b in self.bases):
-            raise ValueError("basis of wrong size")
+        neck = self.necklace
+        if neck.direction != "forward":
+            raise ValueError("a positroid is built from its forward necklace")
+        n, k = neck.n, neck.k
+        full = (1 << n) - 1
+        cuts = set()  # (mask of an interval [a, a+r), the most members of J it may hold)
+        for a, element in enumerate(neck.elements):
+            for j, r in enumerate(sorted((x - 1 - a) % n for x in element)):
+                if r > j:
+                    mask = ((1 << r) - 1) << a
+                    cuts.add(((mask | mask >> n) & full, j))
+        bit = {x: 1 << (x - 1) for x in range(1, n + 1)}.__getitem__
+        bases = []
+        for J in combinations(range(1, n + 1), k):
+            members = sum(map(bit, J))
+            for mask, most in cuts:
+                if (members & mask).bit_count() > most:
+                    break
+            else:
+                bases.append(J)
+        object.__setattr__(self, "bases", tuple(bases))
+
+    @property
+    def n(self) -> int:
+        return self.necklace.n
+
+    @property
+    def k(self) -> int:
+        return self.necklace.k
 
     def forward_necklace(self) -> GrassmannNecklace:
-        if self.necklace is not None:
-            return self.necklace
-        return necklace_from_bases(self.bases, self.n, "forward")
+        return self.necklace
 
     def reverse_necklace(self) -> GrassmannNecklace:
         """Read off the permutation, as for a matrix (Knutson-Lam-Speyer)."""
         return necklace_from_perm(self.perm(), "reverse")
 
     def perm(self) -> BoundedAffinePermutation:
-        return perm_from_necklace(self.forward_necklace())
+        return perm_from_necklace(self.necklace)
 
 
 def necklace_from_bases(bases: Iterable[Sequence[int]], n: int, direction: str = "forward") -> GrassmannNecklace:
@@ -254,41 +274,11 @@ def necklace_from_bases(bases: Iterable[Sequence[int]], n: int, direction: str =
     items = [tuple(sorted(b)) for b in bases]
     if direction == "forward":
         elements = tuple(gale_min(items, a, n) for a in range(1, n + 1))
-    elif direction == "reverse":
+    else:  # GrassmannNecklace refuses any other direction
         elements = tuple(gale_max(items, a + 1, n) for a in range(1, n + 1))
-    else:
-        raise ValueError(f"bad direction {direction!r}")
     return GrassmannNecklace(elements, n, direction)
 
 
 def positroid_from_necklace(neck: GrassmannNecklace) -> Positroid:
-    """All k-subsets J with I_a <= J in every shifted Gale order (Oh's construction).
-
-    I_a <=_a J holds exactly when every initial interval [a, a+t) of the
-    order from a holds at least as many members of I_a as of J.  Only the
-    intervals that end just before a member of I_a can bind, and of those
-    only the ones holding fewer than t members.  The k-subsets are walked in
-    lexicographic order; each is read as a bitmask and tested against the
-    binding intervals by one popcount each.
-    """
-    if neck.direction != "forward":
-        raise ValueError("positroid_from_necklace expects a forward necklace")
-    neck.check()
-    n, k = neck.n, neck.k
-    full = (1 << n) - 1
-    cuts = set()  # (mask of an interval [a, a+r), the most members of J it may hold)
-    for a, element in enumerate(neck.elements):
-        for j, r in enumerate(sorted((x - 1 - a) % n for x in element)):
-            if r > j:
-                mask = ((1 << r) - 1) << a
-                cuts.add(((mask | mask >> n) & full, j))
-    bit = {x: 1 << (x - 1) for x in range(1, n + 1)}.__getitem__
-    bases = []
-    for J in combinations(range(1, n + 1), k):
-        members = sum(map(bit, J))
-        for mask, most in cuts:
-            if (members & mask).bit_count() > most:
-                break
-        else:
-            bases.append(J)
-    return Positroid(bases, n, k, neck)
+    """All k-subsets J with I_a <= J in every shifted Gale order (Oh's construction)."""
+    return Positroid(neck)

@@ -22,6 +22,7 @@ set containing it, and divides each by its columns' scales.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +46,8 @@ def _ratio(x) -> tuple[int, int]:
     """(p, q) with q > 0 and p / q = x, for the values ``as_fraction`` takes.
 
     A plain ASCII '-?digits' or '-?digits/digits' string is split and read
-    with ``int``, as ``Fraction`` would read it; any other goes to ``Fraction``.
+    with ``int``, as ``Fraction`` would read it; any other goes to ``Fraction``,
+    unless its decimal exponent exceeds 4300 in magnitude.
     """
     if not isinstance(x, str):
         if isinstance(x, Fraction):
@@ -57,6 +59,10 @@ def _ratio(x) -> tuple[int, int]:
     if x.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
         p, q = int(num), int(den) if slash else 1
     else:
+        # Fraction builds 10**exp; int() refuses more than 4300 digits too
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
+        if exponent and abs(int(exponent[1])) > 4300:
+            raise ValueError(f"decimal exponent of {x!r} exceeds 4300 in magnitude")
         try:
             p, q = Fraction(x).as_integer_ratio()
         except ZeroDivisionError:

@@ -486,9 +486,7 @@ def synthesis_steps(pi: BoundedAffinePermutation) -> list[Move]:
             continue
         inv = _inverse_window(values)
         inv.append(inv[0] + n)  # pi^{-1}(n+1)
-        i = next((i for i in range(1, n + 1) if inv[i - 1] < inv[i]), None)
-        if i is None:
-            raise ValueError("no legal lollipop or bridge step; invalid permutation?")
+        i = next(i for i in range(1, n + 1) if inv[i - 1] < inv[i])
         reversed_steps.append(Move("left-bridge", i))
         # s_i o pi: the values of residues i and i+1 swap, at pi^{-1}(i) and pi^{-1}(i+1)
         values[(inv[i - 1] - 1) % n] += 1

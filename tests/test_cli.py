@@ -401,6 +401,13 @@ MALFORMED = {
     "zero-denominator-twist": (("twist", "--right"), json.dumps({"rows": [["1/0", 1], [0, 1]]})),
     "zero-denominator-mu": (("mu",), json.dumps({"rows": [[1, "1/0"]]})),
     "zero-denominator-weight": (("measure", "square4"), square4_weights().replace('"1"', '"1/0"', 1)),
+    # Fraction would build 10**999999999
+    "huge-exponent-matrix": (("twist", "--right"), json.dumps({"rows": [["1e999999999", 1]]})),
+    "huge-exponent-weight": (("measure", "square4"), square4_weights().replace('"1"', '"1e999999999"', 1)),
+    "huge-exponent-bridge": (
+        ("move", "square4"),
+        json.dumps([{"kind": "left-bridge", "site": 1, "params": {"t": "1e999999999"}}]),
+    ),
 }
 
 # the id that the one-line error must name
@@ -420,6 +427,9 @@ MALFORMED_NAMES = {
     "zero-denominator-twist": "1/0",
     "zero-denominator-mu": "1/0",
     "zero-denominator-weight": "1/0",
+    "huge-exponent-matrix": "1e999999999",
+    "huge-exponent-weight": "1e999999999",
+    "huge-exponent-bridge": "1e999999999",
 }
 
 

@@ -119,12 +119,6 @@ def test_positroid_from_necklace_schubert():
     pos = positroid_from_necklace(GrassmannNecklace(SCHUBERT_NECKLACE, 6))
     assert pos.bases == tuple(sorted(frozenset(SCHUBERT_BASES)))
     assert len(pos.bases) == 19
-    # the bases are one lexicographic tuple however they are passed in, and
-    # a repeated basis is refused
-    assert Positroid(frozenset(SCHUBERT_BASES), 6, 3).bases == pos.bases
-    assert Positroid(SCHUBERT_BASES[::-1], 6, 3).bases == pos.bases
-    with pytest.raises(ValueError, match="repeated basis"):
-        Positroid(SCHUBERT_BASES + [(2, 3, 4)], 6, 3)
     # graph_positroid lists the walk's bases in strictly increasing order, and
     # they are the Gale-key oracle's, on every fixture, 40 seeded cells with
     # n <= 9 and the top cells Gr(4,8), Gr(5,10) and Gr(6,12)
@@ -217,7 +211,35 @@ def test_reverse_necklace_from_perm_matches_bases():
         pos = positroid_from_necklace(necklace_from_perm(g.trip_permutation()))
         rev = pos.reverse_necklace()
         assert rev == necklace_from_bases(pos.bases, g.n, "reverse"), g.n
-        assert Positroid(pos.bases, pos.n, pos.k).reverse_necklace() == rev
+
+
+def test_positroid_is_its_forward_necklace():
+    # the Gale minima of the walk's bases give back the necklace it walked, so
+    # equal necklaces are equal positroids with the same bases
+    for g in plan_graphs():
+        pos = graph_positroid(g)
+        again = Positroid(necklace_from_bases(pos.bases, pos.n))
+        assert again == pos and again.bases == pos.bases, g.trip_permutation().values
+        assert (again.n, again.k) == (g.n, g.k)
+
+
+def test_positroid_refuses_a_reverse_necklace():
+    with pytest.raises(ValueError, match="forward necklace"):
+        Positroid(necklace_from_perm(BoundedAffinePermutation(SCHUBERT_PI), "reverse"))
+
+
+@pytest.mark.parametrize(
+    "direction, elements, position",
+    [
+        # I_2 = 235 drops 4 of I_1 - {1} = 24
+        ("forward", ((1, 2, 4), (2, 3, 5), (3, 4, 5), (4, 5, 6), (1, 5, 6), (1, 2, 6)), 1),
+        # I_3 - {3} = 25 is not inside I_2 = 126
+        ("reverse", ((1, 5, 6), (1, 2, 6), (2, 3, 5), (2, 3, 4), (3, 4, 5), (4, 5, 6)), 3),
+    ],
+)
+def test_broken_necklace_is_refused_when_built(direction, elements, position):
+    with pytest.raises(ValueError, match=f"necklace condition fails at position {position}$"):
+        GrassmannNecklace(elements, 6, direction)
 
 
 def inverse_by_search(pi, b):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd, prod
@@ -786,12 +787,16 @@ def test_pluecker_property(m):
 
 
 def parent_as_fraction(x):
-    """``as_fraction`` as it was before plain strings were read with int()."""
+    """``as_fraction`` as it was before plain strings were read with int(),
+    with its bound on decimal exponents: ``Fraction`` builds 10**exp."""
     if isinstance(x, Q):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Q(x)
     if isinstance(x, str):
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", x)
+        if exponent and abs(int(exponent[1])) > 4300:
+            raise ValueError(f"decimal exponent of {x!r} exceeds 4300 in magnitude")
         try:
             return Q(x)
         except ZeroDivisionError:
@@ -835,6 +840,14 @@ def test_odd_strings_parse_as_before():
         assert parsed(as_fraction, x) == parsed(parent_as_fraction, x), x
     assert parsed(as_fraction, "1/0") == ("error", "zero denominator in '1/0'")
     assert parsed(as_fraction, True) == ("error", "not an exact rational: True")
+
+
+def test_huge_decimal_exponents_are_refused():
+    # Fraction would build 10**exp for each of these
+    for x in ["1e4301", "1.5E-999999999", " -2e+1_0000 ", "1e999999999"]:
+        assert parsed(as_fraction, x) == ("error", f"decimal exponent of {x!r} exceeds 4300 in magnitude")
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("-3E-4300") == Q(-3, 10**4300)
 
 
 FRACTION_ROWS = st.integers(1, 4).flatmap(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
 from positroids import chamber, cli, fixtures, linalg, matchings, measurement
-from positroids.core import BoundedAffinePermutation, Positroid, gale_min, length
+from positroids.core import BoundedAffinePermutation, GrassmannNecklace, Positroid, gale_min, length
 from positroids.errors import PreconditionError
 from positroids.linalg import PlueckerVector, RationalMatrix, minor, pluecker, twist
 from positroids.matchings import enumerate_matchings, extremal_matching, graph_positroid, matching_boundary
@@ -528,7 +528,7 @@ def test_laurent_check_names_round_trip_to_their_subsets(monkeypatch):
 
 def test_verify_refuses_a_pick_whose_twisted_coordinate_vanishes(monkeypatch, capsys):
     # 123 is no basis of schubert36: its check would read 0 = 0
-    only_123 = Positroid(frozenset({(1, 2, 3)}), 6, 3)
+    only_123 = Positroid(GrassmannNecklace(((1, 2, 3),) * 6, 6))
     monkeypatch.setattr(measurement, "graph_positroid", lambda graph: only_123)
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "schubert36", "--trials", "1"])
