@@ -116,7 +116,8 @@ class BoundaryMatrix(NamedTuple):
 
     Column e of ∂ lists the faces that the weight of edge e divides by in the
     inverse monomial map; B_f, the size of face f's half, counts the edges
-    that have f directly downstream (or upstream).
+    that have f directly downstream (or upstream): the face of the dart along
+    the edge toward its white (black) end, so no wedge is built.
     """
 
     divisors: dict  # edge -> its faces: the directly-downstream one at the boundary, both sides inside
@@ -125,7 +126,8 @@ class BoundaryMatrix(NamedTuple):
 
 def boundary_matrix(graph: PlabicGraph, direction: str) -> BoundaryMatrix:
     """∂ for the downstream ("min") or upstream ("max") wedges, built once
-    per graph and direction and memoized on it."""
+    per graph and direction and memoized on it, from one dart lookup per
+    edge (``PlabicGraph.directly_downstream``/``directly_upstream``)."""
     if direction not in ("min", "max"):
         raise ValueError(f"bad direction {direction!r}")
     return graph._memo(("boundary", direction), lambda: _boundary_matrix(graph, direction == "max"))

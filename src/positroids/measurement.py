@@ -101,10 +101,8 @@ def _orient(graph: PlabicGraph) -> _Orientation:
     m0 = extremal_matching(graph, graph.boundary_face(graph.n).id, "max")
     arcs = {v: [] for v in [*graph.colors, *graph.boundary_vertices()]}
     indegree = dict.fromkeys(arcs, 0)
-    for e, (u, w) in graph.edges.items():
-        # a boundary vertex takes the colour opposite to its neighbour's
-        white = u if graph.colors.get(u) == "white" or graph.colors.get(w) == "black" else w
-        black = w if white == u else u
+    for e in graph.edges:
+        white, black = graph._ends_by_color(e)
         tail, head = (black, white) if e in m0 else (white, black)
         arcs[tail].append((head, e, e in m0))
         indegree[head] += 1

@@ -6,14 +6,16 @@ ids, and the clockwise cyclic order of edge ids around each internal vertex.
 Faces, strands, the trip permutation and downstream/upstream wedges are all
 derived from this combinatorial map.  The face trace fills one dart→face map,
 keyed by (edge, toward vertex): the faces beside an edge, at a boundary arc
-or at a corner are each read off it.  Face labels and wedges both are one
-side of an arc of strand pieces across the strand diagram, whose atoms (face
-cores and internal vertices) the pieces separate.  Atoms and pieces get
-integer ids once per graph, strand by strand, so the pieces of a strand from
-any crossing on are one range of ids.  One spanning tree of the atom graph
-gives each piece a bitmask, the XOR of the subtree masks of its strand's
-pieces from it on; a side of a strand is one such mask, and a wedge the XOR
-of two (four upstream).
+or at a corner, and the face directly downstream (upstream) of an edge, the
+face of the dart toward its white (black) end, are each read off it.  Face
+labels come from one breadth-first walk across the faces: the labels of the
+two faces beside an edge differ by the two strands crossing it.  A wedge is
+one side of an arc of strand pieces across the strand diagram, whose atoms
+(face cores and internal vertices) the pieces separate.  Atoms and pieces
+get integer ids once per graph, strand by strand, so the pieces of a strand
+from any crossing on are one range of ids.  One spanning tree of the atom
+graph gives each piece a bitmask, the XOR of the subtree masks of its
+strand's pieces from it on; a wedge is the XOR of two (four upstream).
 
 Strand traversal rule: a strand crossing an edge toward a white vertex leaves
 along the next incident edge clockwise; toward a black vertex it leaves along
@@ -67,7 +69,6 @@ class _Atoms(NamedTuple):
     """The atom graph of the strand diagram, with integer ids (faces 0..F-1
     in ``faces()`` order, then the internal vertices), spanned by one tree."""
 
-    face: dict  # face id -> atom id
     vertex: dict  # internal vertex -> atom id
     pieces: dict  # crossing -> (first piece id of its strand, its own)
     suffix: list  # piece id -> XOR of the subtree masks of its strand's pieces from it on
@@ -89,10 +90,9 @@ class PlabicGraph:
     validation, which reads its degrees off it.  Validation traces the faces
     once, together with their map by id and the one dart→face map that every
     face adjacency reads; strands, labels and wedges are computed on first
-    use, the last two from the suffix masks of one spanning tree of the atom
-    graph: a strand's left faces (which both label modes share) from one
-    mask, each edge's wedge in each direction from an XOR of its crossings'
-    masks.  All of it is memoized on the graph.
+    use: both label modes from one walk across the faces, each edge's wedge
+    in each direction from an XOR of its crossings' suffix masks in one
+    spanning tree of the atom graph.  All of it is memoized on the graph.
     """
 
     def __init__(self, n, colors, edges, rotations):
@@ -204,6 +204,12 @@ class PlabicGraph:
         if w == v:
             return u
         raise ValueError(f"{v!r} is not an endpoint of edge {e!r}")
+
+    def _ends_by_color(self, e) -> tuple:
+        """(white end, black end) of edge e; a boundary vertex takes the
+        colour opposite to its neighbour's."""
+        u, w = self.edges[e]
+        return (u, w) if self.colors.get(u) == "white" or self.colors.get(w) == "black" else (w, u)
 
     def pendant_edge(self, i: int) -> str:
         if i not in self._pendant:
@@ -436,63 +442,81 @@ class PlabicGraph:
         if not ok:
             raise GraphError([f"graph is not reduced: {witness}"])
 
-    # -- face labels and wedges --------------------------------------------
+    # -- face labels -----------------------------------------------------
     #
-    # Both are the part of the disc that a set of strand pieces cuts off in
-    # the strand diagram.  Between two crossings a strand cuts one corner: the
-    # piece separates the internal vertex from the face at that corner, and is
-    # named by the crossing (edge, toward_vertex) it follows.  The atoms it
-    # separates are the faces and the internal vertices, and the pieces are
-    # the edges of the atom graph.  A boundary vertex needs no atom: its two
-    # end stubs fence it off from the two boundary faces beside it, as the
-    # corners next to them fence off the pendant edge's internal end.
-    #
-    # In a reduced graph a strand never crosses itself, and two strands that
-    # cross twice do so in opposite orders, so a whole strand, or the two
-    # half-strands leaving (or entering) an edge, form a simple arc across
-    # the disc.  Its pieces are then exactly the atom-graph edges between the
-    # arc's two sides, and an atom lies across the arc from atom 0 iff its
-    # path in one spanning tree crosses the arc an odd number of times.  With
-    # each tree piece carrying the bitmask of the subtree below it, the side
-    # away from atom 0 is the XOR of the masks of the arc's pieces.
+    # A face's source (target) label holds the sources (targets) of the
+    # strands that pass it on their left.  The two faces beside an edge lie
+    # on opposite sides of exactly the two strands crossing it, so their
+    # labels differ by those two strands, and the faces reached from a seed
+    # across the edges carry every label.  Strand a -> t carries the mark
+    # 2^a + 2^(n+t); a face's marks are the XOR of the marks of the strands
+    # it lies left of, so bits 1..n are its source label and n+1..2n its
+    # target label.  The seed, the face on the boundary arc from n to 1, lies
+    # left of exactly the strands whose lifted trip value exceeds n: its
+    # labels are the reverse necklace's I_n and the forward necklace's I_1.
 
     def face_labels(self, mode: str) -> dict:
         """Map face id -> sorted tuple of strand sources (or targets)."""
         if mode not in ("source", "target"):
             raise ValueError(f"bad mode {mode!r}")
-        return self._memo(f"labels-{mode}", lambda: self._label_faces(mode))
+        return self._memo("labels", self._label_faces)[mode == "target"]
 
-    def _label_faces(self, mode: str) -> dict:
+    def _label_faces(self) -> tuple:
+        """(source, target) labels, from one breadth-first walk across the faces."""
         self.require_reduced()
-        labels = {f.id: [] for f in self.faces()}
-        for s in self.strands():
-            mark = s.source if mode == "source" else (s.target - 1) % self.n + 1
-            for fid in self._left_faces(s):
-                labels[fid].append(mark)
-        return {fid: tuple(sorted(v)) for fid, v in labels.items()}
+        n, index = self.n, self._faces()
+        swap, seed_marks = dict.fromkeys(self.edges, 0), 0
+        for s, value in zip(self.strands(), self.trip_permutation().values):
+            mark = 1 << s.source | 1 << (n + s.target)
+            for e, _ in s.path:
+                swap[e] ^= mark
+            if value > n:
+                seed_marks ^= mark
+        seed = index.by_dart[self.pendant_edge(1), 1]  # boundary_face(n)
+        marks = [None] * len(index.faces)
+        marks[seed] = seed_marks
+        order = [seed]
+        for a in order:
+            for e, back, _ in index.faces[a].walk:
+                b, want = index.by_dart[e, back], marks[a] ^ swap[e]
+                if marks[b] is None:
+                    marks[b] = want
+                    order.append(b)
+                elif marks[b] != want:
+                    raise AssertionError(f"the labels beside edge {e!r} differ by more than its two strands")
+        if None in marks:
+            raise AssertionError(f"the walk across the faces misses face {index.faces[marks.index(None)].id!r}")
+        source = {f.id: tuple(i for i in range(1, n + 1) if m >> i & 1) for f, m in zip(index.faces, marks)}
+        target = {f.id: tuple(i for i in range(1, n + 1) if m >> n + i & 1) for f, m in zip(index.faces, marks)}
+        return source, target
 
-    def _left_faces(self, strand: Strand) -> set[str]:
-        """Ids of faces lying to the left of the strand, once per strand."""
-        return self._memo(("left", strand.source), lambda: self._cut_left(strand))
+    # -- wedges and the faces directly beside them ---------------------------
+    #
+    # A wedge is the part of the disc that the two half-strands leaving (or
+    # entering) an edge cut off in the strand diagram.  Between two crossings
+    # a strand cuts one corner: the piece separates the internal vertex from
+    # the face at that corner, and is named by the crossing (edge,
+    # toward_vertex) it follows.  The atoms it separates are the faces and
+    # the internal vertices, and the pieces are the edges of the atom graph.
+    # A boundary vertex needs no atom: its two end stubs fence it off from the
+    # two boundary faces beside it, as the corners next to them fence off the
+    # pendant edge's internal end.
+    #
+    # In a reduced graph a strand never crosses itself, and two strands that
+    # cross twice do so in opposite orders, so the two half-strands form a
+    # simple arc across the disc.  Its pieces are then exactly the atom-graph
+    # edges between the arc's two sides, and an atom lies across the arc from
+    # atom 0 iff its path in one spanning tree crosses the arc an odd number
+    # of times.  With each tree piece carrying the bitmask of the subtree
+    # below it, the side away from atom 0 is the XOR of the masks of the
+    # arc's pieces.  The face directly downstream (upstream) of an edge, the
+    # one face beside it inside that wedge, is the face of the dart toward
+    # its white (black) end.
 
-    def _cut_left(self, strand: Strand) -> set[str]:
-        """The strand's whole arc, read from the internal end of its first
-        edge, which lies right of the strand if white and left if black."""
-        (e0, v), (e1, _) = strand.path[:2]
-        atoms = self._atoms()
-        start, _ = atoms.pieces[strand.path[0]]
-        far = self._far_side(atoms.suffix[start], (v,), f"strand {strand.source}")
-        if not far >> atoms.face[self._corner_face(v, e0, e1).id] & 1:
-            raise AssertionError(
-                f"strand {strand.source} does not cut its first corner face from vertex {v!r}"
-            )
-        white = self.colors[v] == "white"
-        return {f.id for a, f in enumerate(self.faces()) if (far >> a & 1) == white}
-
-    def _corner_face(self, v, e_in, e_out) -> Face:
-        """The face a strand cuts off at internal v, turning from e_in to e_out: that of
-        the dart into v along e_in if v is white (the strand turns clockwise), else e_out."""
-        return self._dart_face(e_in if self.colors[v] == "white" else e_out, v)
+    def _corner_atom(self, v, e_in, e_out) -> int:
+        """The atom of the face a strand cuts off at internal v, turning from e_in to e_out:
+        that of the dart into v along e_in if v is white (the strand turns clockwise), else e_out."""
+        return self._faces().by_dart[e_in if self.colors[v] == "white" else e_out, v]
 
     def _atoms(self) -> _Atoms:
         return self._memo("atoms", self._span_atoms)
@@ -505,7 +529,6 @@ class PlabicGraph:
         piece's suffix mask is the XOR of the subtree masks of that range."""
         self.require_reduced()
         faces = self.faces()
-        face = {f.id: a for a, f in enumerate(faces)}
         vertex = {v: a for a, v in enumerate(self.colors, start=len(faces))}
         neighbors = [[] for _ in range(len(faces) + len(vertex))]
         pieces, strands = {}, []
@@ -514,7 +537,7 @@ class PlabicGraph:
             for piece, crossing in enumerate(s.path, start):
                 pieces[crossing] = (start, piece)
             for piece, ((e, v), (e_out, _)) in enumerate(zip(s.path, s.path[1:]), start):
-                f, x = face[self._corner_face(v, e, e_out).id], vertex[v]
+                f, x = self._corner_atom(v, e, e_out), vertex[v]
                 neighbors[x].append((f, piece))
                 neighbors[f].append((x, piece))
             strands.append(range(start, start + len(s.path)))
@@ -543,16 +566,7 @@ class PlabicGraph:
             for piece in reversed(r):
                 acc ^= tree[piece]
                 suffix[piece] = acc
-        return _Atoms(face, vertex, pieces, suffix, (1 << len(neighbors)) - 1)
-
-    def _far_side(self, mask: int, near, what: str) -> int:
-        """The atoms of a cut that lie away from the internal vertices
-        ``near``, given the atoms on the side away from atom 0."""
-        atoms = self._atoms()
-        sides = {mask >> atoms.vertex[v] & 1 for v in near}
-        if len(sides) != 1:
-            raise AssertionError(f"{what} has its internal ends on both sides of its cut")
-        return mask ^ atoms.every if sides.pop() else mask
+        return _Atoms(vertex, pieces, suffix, (1 << len(neighbors)) - 1)
 
     def _wedges(self, upstream: bool) -> dict:
         """Edge id -> the bitmask of the atoms in its upstream (or
@@ -567,8 +581,10 @@ class PlabicGraph:
         for toward in self.edges[edge_id]:
             start, piece = atoms.pieces[(edge_id, toward)]
             mask ^= atoms.suffix[start] ^ atoms.suffix[piece] if upstream else atoms.suffix[piece]
-        ends = [x for x in self.edges[edge_id] if not self.is_boundary(x)]
-        return self._far_side(mask, ends, f"edge {edge_id!r}")
+        sides = {mask >> atoms.vertex[x] & 1 for x in self.edges[edge_id] if not self.is_boundary(x)}
+        if len(sides) != 1:
+            raise AssertionError(f"edge {edge_id!r} has its internal ends on both sides of its cut")
+        return mask ^ atoms.every if sides.pop() else mask
 
     def _wedge_sets(self, mask: int):
         """(faces, vertices): the face ids and internal vertex ids in a mask."""
@@ -591,9 +607,6 @@ class PlabicGraph:
         return self._directly(edge_id, upstream=True)
 
     def _directly(self, edge_id: str, upstream: bool) -> str:
-        mask, face = self._wedges(upstream)[edge_id], self._atoms().face
-        hits = [fid for fid in self.edge_faces(edge_id) if mask >> face[fid] & 1]
-        if len(hits) != 1:
-            side = "upstream" if upstream else "downstream"
-            raise AssertionError(f"edge {edge_id!r} has {len(hits)} directly {side} faces")
-        return hits[0]
+        self.require_reduced()
+        white, black = self._ends_by_color(edge_id)
+        return self._dart_face(edge_id, black if upstream else white).id

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -19,13 +20,15 @@ def run_cli(*args, expect=0):
 
 
 def run_cli_result(*args, expect):
-    env_path = str(ROOT / "src")
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:  # so the run leaves no __pycache__ in src/
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     result = subprocess.run(
         [sys.executable, "-m", "positroids.cli", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     assert result.returncode == expect, result.stderr
     return result

@@ -3,6 +3,7 @@ builder it replaced, and exact arithmetic throughout the package."""
 import ast
 import json
 import math
+import os
 import subprocess
 import sys
 from itertools import product
@@ -107,12 +108,15 @@ def test_fixtures_load_by_name_from_outside_the_checkout(tmp_path):
         "    assert fixtures.load(name).to_json() == json.loads(text), name\n"
         "print(' '.join(fixtures.NAMES))\n"
     )
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:  # so the run leaves no __pycache__ in src/
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == list(fixtures.NAMES)

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from conftest import all_bounded_affine, random_bounded_affine
+from conftest import all_bounded_affine, plan_graphs, random_bounded_affine
 from positroids import cli, fixtures
 from positroids.core import BoundedAffinePermutation, necklace_from_perm
+from positroids.matchings import boundary_matrix
 from positroids.moves import synthesize
-from positroids.plabic import GraphError, PlabicGraph
+from positroids.plabic import Face, GraphError, PlabicGraph
 
 
 def lollipop_graph(color):
@@ -329,17 +330,21 @@ def test_labels_match_propagation_oracle():
     assert count == 6 + 414 + 7 + 40
 
 
-def test_both_label_modes_share_one_cut_per_strand(monkeypatch):
-    g = synthesize(BoundedAffinePermutation(tuple(range(4, 10))))
-    spans, cuts = [], []
-    span, cut = PlabicGraph._span_atoms, PlabicGraph._cut_left
+def test_both_label_modes_come_from_one_walk_without_the_atom_graph(monkeypatch):
+    walks, spans = [], []
+    walk, span = PlabicGraph._label_faces, PlabicGraph._span_atoms
+    monkeypatch.setattr(PlabicGraph, "_label_faces", lambda self: walks.append(self) or walk(self))
     monkeypatch.setattr(PlabicGraph, "_span_atoms", lambda self: spans.append(self) or span(self))
-    monkeypatch.setattr(PlabicGraph, "_cut_left", lambda self, s: cuts.append(s.source) or cut(self, s))
-    g.face_labels("source")
-    g.face_labels("target")
-    # one spanning tree of the atom graph, read once per strand
-    assert spans == [g]
-    assert sorted(cuts) == list(g.boundary_vertices())
+    for g in plan_graphs():
+        g.face_labels("source")
+        g.face_labels("target")
+        boundary_matrix(g, "min")
+        boundary_matrix(g, "max")
+        # one walk across the faces for both label modes
+        assert walks == [g], g.trip_permutation().values
+        walks.clear()
+    # labels and the directly-downstream and -upstream faces build no atom graph
+    assert spans == []
 
 
 def with_suffix(monkeypatch, suffix):
@@ -353,15 +358,30 @@ def with_suffix(monkeypatch, suffix):
     monkeypatch.setattr(PlabicGraph, "_span_atoms", patched)
 
 
-def test_cut_that_misses_its_corner_is_an_internal_error(monkeypatch, capsys):
-    # empty suffix masks leave the strand's corner face on its vertex's side
-    with_suffix(monkeypatch, lambda g, atoms, p: 0)
-    with pytest.raises(AssertionError, match="strand 1 does not cut its first corner face"):
+def test_faces_that_disagree_across_an_edge_are_an_internal_error(monkeypatch, capsys):
+    # the dart along s12 toward one end names the face beside its other end,
+    # so the walk crosses s12 back into the face it left
+    trace = PlabicGraph._trace_faces
+
+    def patched(self):
+        index = trace(self)
+        u, w = self.edges["s12"]
+        index.by_dart["s12", u] = index.by_dart["s12", w]
+        return index
+
+    monkeypatch.setattr(PlabicGraph, "_trace_faces", patched)
+    with pytest.raises(AssertionError, match="the labels beside edge 's12' differ"):
         fixtures.load("square4").face_labels("source")
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["labels", "square4", "--mode", "target"])
     assert exit_info.value.code == 3
-    assert capsys.readouterr().err.startswith("internal error: strand 1 does not cut")
+    assert capsys.readouterr().err.startswith("internal error: the labels beside edge 's12'")
+    monkeypatch.undo()
+    # a face that no dart leads to is never reached
+    g = fixtures.load("square4")
+    g.faces().append(Face("f9", (), (), ()))
+    with pytest.raises(AssertionError, match="the walk across the faces misses face 'f9'"):
+        g.face_labels("target")
 
 
 def test_edge_with_ends_on_two_sides_is_an_internal_error(monkeypatch, capsys):
@@ -381,11 +401,11 @@ def test_edge_with_ends_on_two_sides_is_an_internal_error(monkeypatch, capsys):
 
 def test_disconnected_atom_graph_is_an_internal_error(monkeypatch, capsys):
     # every piece cutting a corner of the first face leaves the other faces unlinked
-    monkeypatch.setattr(PlabicGraph, "_corner_face", lambda self, v, e_in, e_out: self.faces()[0])
+    monkeypatch.setattr(PlabicGraph, "_corner_atom", lambda self, v, e_in, e_out: 0)
     with pytest.raises(AssertionError, match="the atom graph is disconnected"):
-        fixtures.load("square4").face_labels("source")
+        fixtures.load("square4").downstream("s12")
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["labels", "square4", "--mode", "source"])
+        cli.main(["verify", "square4", "--trials", "1"])
     assert exit_info.value.code == 3
     assert capsys.readouterr().err.startswith("internal error: the atom graph is disconnected")
 
@@ -446,7 +466,24 @@ def test_wedges_and_strand_sides_match_the_search_oracle():
         downstream, upstream, left = oracle_cuts(g)
         assert {e: g.downstream(e) for e in g.edges} == downstream, g.trip_permutation().values
         assert {e: g.upstream(e) for e in g.edges} == upstream, g.trip_permutation().values
-        assert {s.source: g._left_faces(s) for s in g.strands()} == left, g.trip_permutation().values
+        for mode in ("source", "target"):
+            labels = {f.id: [] for f in g.faces()}
+            for s in g.strands():
+                for fid in left[s.source]:
+                    labels[fid].append(s.source if mode == "source" else s.target)
+            assert g.face_labels(mode) == {fid: tuple(sorted(v)) for fid, v in labels.items()}
+        count += 1
+    assert count == 6 + 414 + 7 + 40 + 1
+
+
+def test_directly_beside_faces_match_the_wedge_oracle():
+    # the face of the dart toward an edge's white (black) end is the one face
+    # beside the edge inside its downstream (upstream) wedge
+    count = 0
+    for g in (*oracle_graphs(), synthesize(BoundedAffinePermutation(tuple(range(13, 37))))):
+        for e in g.edges:
+            assert g.directly_downstream(e) == scan_directly(g, e, g.downstream), (g.trip_permutation().values, e)
+            assert g.directly_upstream(e) == scan_directly(g, e, g.upstream), (g.trip_permutation().values, e)
         count += 1
     assert count == 6 + 414 + 7 + 40 + 1
 
